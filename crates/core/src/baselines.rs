@@ -8,9 +8,6 @@
 //!   size grows with the number of paths (exponential in the number of
 //!   successive tests), whereas Termite's LP only contains the extremal
 //!   counterexamples actually needed.
-//! * [`podelski_rybalchenko`] — the complete method for *monodimensional*
-//!   linear ranking functions (all paths must decrease strictly at once),
-//!   obtained as the one-dimension, all-strict special case of the eager LP.
 //! * [`heuristic`] — a syntactic prover in the spirit of Loopus: guess
 //!   candidate ranking expressions from the loop guards and verify a fixed
 //!   lexicographic assembly with a handful of SMT queries. Fast, but proves
@@ -125,11 +122,11 @@ pub fn expand_paths(
 /// The eager (Rank / Alias et al. 2010) baseline.
 pub mod eager {
     use super::*;
+    use crate::farkas::path_rows;
     use termite_linalg::QVector;
     use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation, VarId};
     use termite_num::Rational;
     use termite_polyhedra::ConstraintKind;
-    use termite_smt::TermVar;
 
     /// One lexicographic level of the eager synthesis: a single Farkas LP over
     /// all still-alive path transitions. Returns the component and the set of
@@ -212,53 +209,31 @@ pub mod eager {
             ));
         }
         for (j, path) in alive.iter().enumerate() {
-            let mu_ids: Vec<VarId> = (0..path.atoms.len())
+            // Σ_r μ_r · coeff_{r,v} = c_v, where c_v is λ_{from,i} for pre
+            // variables, −λ_{to,i} for post variables and 0 otherwise; and
+            // Σ_r μ_r · rhs_r ≥ δ_j.
+            let mu: Vec<VarId> = (0..path.atoms.len())
                 .map(|r| lp.add_var(format!("mu_{j}_{r}")))
                 .collect();
-            // Variable set: every variable of the path atoms plus all pre/post
-            // variables of the involved locations.
-            let mut vars: std::collections::BTreeSet<TermVar> = std::collections::BTreeSet::new();
-            for a in &path.atoms {
-                vars.extend(a.vars());
+            let rows = path_rows(
+                path,
+                ts,
+                &mu,
+                |v| {
+                    if v.0 < n {
+                        vec![(lambda_ids[path.from][v.0], Rational::one())]
+                    } else if v.0 < 2 * n {
+                        vec![(lambda_ids[path.to][v.0 - n], -Rational::one())]
+                    } else {
+                        Vec::new()
+                    }
+                },
+                vec![(delta_ids[j], -Rational::one())],
+                Rational::zero(),
+            );
+            for row in rows {
+                lp.add_constraint(row);
             }
-            for i in 0..n {
-                vars.insert(ts.pre_var(i));
-                vars.insert(ts.post_var(i));
-            }
-            for v in vars {
-                // Σ_r μ_r · coeff_{r,v}  =  c_v
-                let mut terms: Vec<(VarId, Rational)> = path
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, a)| {
-                        a.coeffs
-                            .get(&v)
-                            .map(|c| (mu_ids[r], Rational::from_int(c.clone())))
-                    })
-                    .collect();
-                // c_v: λ_{from,i} for pre variables, -λ_{to,i} for post
-                // variables, 0 otherwise.
-                if v.0 < n {
-                    terms.push((lambda_ids[path.from][v.0], -Rational::one()));
-                } else if v.0 < 2 * n {
-                    terms.push((lambda_ids[path.to][v.0 - n], Rational::one()));
-                }
-                if terms.is_empty() {
-                    continue;
-                }
-                lp.add_constraint(LpConstraint::new(terms, Relation::Eq, Rational::zero()));
-            }
-            // Σ_r μ_r · rhs_r >= δ_j
-            let mut terms: Vec<(VarId, Rational)> = path
-                .atoms
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.rhs.is_zero())
-                .map(|(r, a)| (mu_ids[r], Rational::from_int(a.rhs.clone())))
-                .collect();
-            terms.push((delta_ids[j], -Rational::one()));
-            lp.add_constraint(LpConstraint::new(terms, Relation::Ge, Rational::zero()));
         }
         lp.maximize(delta_ids.iter().map(|&d| (d, Rational::one())).collect());
 
@@ -345,34 +320,6 @@ pub mod eager {
             ts.var_names().to_vec(),
             components,
         ))
-    }
-}
-
-/// The Podelski–Rybalchenko-style baseline: a single linear ranking function
-/// strictly decreasing on every path.
-pub mod podelski_rybalchenko {
-    use super::*;
-
-    /// Attempts the one-dimensional, all-paths-strict synthesis.
-    pub fn prove(
-        ts: &TransitionSystem,
-        invariants: &[Polyhedron],
-        options: &AnalysisOptions,
-        stats: &mut SynthesisStats,
-    ) -> Verdict {
-        let Some(paths) = expand_paths(ts, invariants, options.max_eager_disjuncts) else {
-            return Verdict::unknown(UnknownReason::ResourceBudget);
-        };
-        stats.counterexamples = paths.len();
-        // One level; every path must become strict.
-        let mut one_level_options = options.clone();
-        one_level_options.max_eager_disjuncts = options.max_eager_disjuncts;
-        let verdict = eager::prove(ts, invariants, &one_level_options, stats);
-        match verdict {
-            Verdict::Terminates(rf) if rf.dimension() <= 1 => Verdict::Terminates(rf),
-            Verdict::Unknown { reason } => Verdict::unknown(reason),
-            _ => Verdict::unknown(UnknownReason::NoRankingFunction),
-        }
     }
 }
 
@@ -637,15 +584,13 @@ mod tests {
 
     #[test]
     fn podelski_rybalchenko_on_simple_and_lexicographic() {
+        // The Podelski–Rybalchenko method is the complete single-LRF test,
+        // `Engine::CompleteLrf` (spelled `pr` on the CLI and the wire).
+        let options = AnalysisOptions::with_engine(Engine::CompleteLrf);
         let (ts, invs) = countdown();
-        let mut stats = SynthesisStats::default();
-        let options = AnalysisOptions::with_engine(Engine::PodelskiRybalchenko);
-        assert!(matches!(
-            podelski_rybalchenko::prove(&ts, &invs, &options, &mut stats),
-            Verdict::Terminates(_)
-        ));
+        assert!(prove_transition_system(&ts, &invs, &options).proved());
         // A two-phase loop with an unbounded reset needs a lexicographic
-        // argument: the one-dimensional baseline must give up.
+        // argument: the one-dimensional method must give up.
         let ts2 = parse_program(
             r#"
             var i, j, N;
@@ -669,9 +614,8 @@ mod tests {
                 Constraint::ge(QVector::from_i64(&[0, 0, 1]), q(0)),
             ],
         )];
-        let mut stats2 = SynthesisStats::default();
         assert!(matches!(
-            podelski_rybalchenko::prove(&ts2, &invs2, &options, &mut stats2),
+            prove_transition_system(&ts2, &invs2, &options).verdict,
             Verdict::Unknown { .. }
         ));
     }

@@ -37,9 +37,6 @@ pub enum Engine {
     /// Eager baseline in the style of Rank / Alias et al. 2010: DNF-expand the
     /// block transitions and build one large Farkas LP per dimension.
     Eager,
-    /// Podelski–Rybalchenko-style baseline: a single (monodimensional) linear
-    /// ranking function over the DNF expansion, all transitions strict.
-    PodelskiRybalchenko,
     /// Syntactic heuristic baseline in the spirit of Loopus: guess candidate
     /// ranking expressions from the loop guards and verify them with single
     /// SMT queries.
@@ -49,9 +46,9 @@ pub enum Engine {
     /// LP per nesting depth, deepening up to [`crate::lasso::MAX_PHASES`].
     Lasso,
     /// Complete linear-ranking-function existence test for single-location
-    /// loops, after Bagnara et al.: one Farkas LP whose infeasibility
-    /// *definitively* refutes linear ranking functions. Cheap enough to be
-    /// the portfolio's first racer.
+    /// loops, after Bagnara et al. and Podelski–Rybalchenko: the Lasso
+    /// engine capped at depth 1, whose infeasibility *definitively* refutes
+    /// linear ranking functions (see [`crate::lasso`]).
     CompleteLrf,
     /// Piecewise ranking functions over a learned segment lattice, after
     /// Kura, Unno & Hasuo: split the state space on predicates harvested
@@ -186,14 +183,13 @@ fn attempt(
             let enabled = enabled_invariants(ts, invariants);
             let verdict = match engine {
                 Engine::Eager => baselines::eager::prove(ts, &enabled, options, stats),
-                Engine::PodelskiRybalchenko => {
-                    baselines::podelski_rybalchenko::prove(ts, &enabled, options, stats)
-                }
                 Engine::Heuristic => {
                     baselines::heuristic::prove(ts, &enabled, &options.cancel, stats)
                 }
-                Engine::Lasso => crate::lasso::prove(ts, &enabled, options, stats),
-                Engine::CompleteLrf => crate::complete::prove(ts, &enabled, options, stats),
+                Engine::Lasso => {
+                    crate::lasso::prove(ts, &enabled, crate::lasso::MAX_PHASES, options, stats)
+                }
+                Engine::CompleteLrf => crate::lasso::prove(ts, &enabled, 1, options, stats),
                 Engine::Piecewise => crate::piecewise::prove(ts, &enabled, options, stats),
                 Engine::Termite => unreachable!("handled above"),
             };

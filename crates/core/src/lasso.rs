@@ -39,24 +39,48 @@
 //! depth-`k` prefix, and the first `k` phases of any deeper nested ranking
 //! function satisfy it; hence an *infeasible priming solve* refutes nested
 //! ranking functions of **every** depth — reported as the definitive
-//! [`UnknownReason::NoRankingFunction`]. Exhausting [`MAX_PHASES`] with the
-//! bound always failing is merely a budget
+//! [`UnknownReason::NoRankingFunction`]. Exhausting a depth cap above 1
+//! with the bound always failing is merely a budget
 //! ([`UnknownReason::ResourceBudget`]): a deeper template might still exist.
-//! Multi-location programs are out of scope (`ResourceBudget`), as in
-//! [`complete`](crate::complete).
+//! Multi-location programs are out of scope (`ResourceBudget`, never a
+//! completeness claim).
+//!
+//! # Depth 1 is the complete linear-ranking-function test
+//!
+//! [`Engine::CompleteLrf`](crate::Engine::CompleteLrf) runs this engine
+//! capped at depth 1, after Bagnara, Mesnard, Pescetti & Zaffanella ("The
+//! automatic synthesis of linear ranking functions", arXiv 1004.0944). The
+//! depth-1 system is `C_1` plus the bound: for every path `j`,
+//!
+//! * decrease: `∀(x, x', z) ∈ P_j : f_1(x) − f_1(x') ≥ 1`, and
+//! * bound:    `∀(x, x', z) ∈ P_j : f_1(x) ≥ 0`,
+//!
+//! where `z` are the auxiliary existential variables of the large-block
+//! encoding (`f_1` does not mention them, so validity over `P_j` coincides
+//! with validity over its projection onto the pre/post variables). Since
+//! each `P_j` is checked non-empty by `expand_paths`, the affine Farkas
+//! lemma is an equivalence there, not just a sufficient condition:
+//!
+//! * **feasible** ⟹ `f_1` is a linear ranking function:
+//!   [`Verdict::Terminates`], dimension 1;
+//! * **infeasible** — at the priming solve or at the bound solve ⟹ *no*
+//!   rational linear ranking function exists for the given path polyhedra
+//!   (a strict decrease `> 0` can always be scaled to `≥ 1` over the
+//!   rationals): [`UnknownReason::NoRankingFunction`], a *definitive*
+//!   negative answer. This is the same complete method as
+//!   Podelski–Rybalchenko's, so `pr` is a spelling of `complete-lrf`.
 
-use crate::baselines::{expand_paths, PathTransition};
+use crate::baselines::expand_paths;
 use crate::engine::AnalysisOptions;
+use crate::farkas::add_path_rows;
 use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
-use std::collections::BTreeSet;
 use termite_ir::TransitionSystem;
 use termite_linalg::QVector;
-use termite_lp::{Constraint as LpConstraint, IncrementalLp, LpOutcome, Relation, RowTag, VarId};
+use termite_lp::{IncrementalLp, LpOutcome, RowTag, VarId};
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
-use termite_smt::TermVar;
 
-/// Maximum nesting depth tried before giving up with `ResourceBudget`.
+/// Depth cap of the Lasso engine, before giving up with `ResourceBudget`.
 pub const MAX_PHASES: usize = 3;
 
 /// Row tag of the retractable `f_k ≥ 0` bound rows.
@@ -68,75 +92,12 @@ struct PhaseVars {
     offset: VarId,
 }
 
-/// Adds `terms = rhs` as a `≥`/`≤` pair (warm-basis friendly, see module
-/// docs).
-fn add_eq(inc: &mut IncrementalLp, terms: Vec<(VarId, Rational)>, rhs: Rational, tag: RowTag) {
-    inc.add_constraint_tagged(
-        LpConstraint::new(terms.clone(), Relation::Ge, rhs.clone()),
-        tag,
-    );
-    inc.add_constraint_tagged(LpConstraint::new(terms, Relation::Le, rhs), tag);
-}
-
-/// Adds the Farkas rows certifying `∀v ∈ P(atoms) : target(v) ≥ rhs` with
-/// fresh multipliers, tagging every row (and implicitly scoping the
-/// multiplier columns) with `tag`. Shared with the piecewise engine
-/// ([`crate::piecewise`]), which emits the same row shape per segment pair.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn farkas_rows(
-    inc: &mut IncrementalLp,
-    path: &PathTransition,
-    n: usize,
-    ts: &TransitionSystem,
-    prefix: &str,
-    target: impl Fn(TermVar) -> Vec<(VarId, Rational)>,
-    rhs_terms: Vec<(VarId, Rational)>,
-    rhs: Rational,
-    tag: RowTag,
-) {
-    let mu_ids: Vec<VarId> = (0..path.atoms.len())
-        .map(|r| inc.add_var(format!("{prefix}_mu_{r}")))
-        .collect();
-    let mut vars: BTreeSet<TermVar> = BTreeSet::new();
-    for a in &path.atoms {
-        vars.extend(a.vars());
-    }
-    for i in 0..n {
-        vars.insert(ts.pre_var(i));
-        vars.insert(ts.post_var(i));
-    }
-    for v in vars {
-        let mut terms: Vec<(VarId, Rational)> = path
-            .atoms
-            .iter()
-            .enumerate()
-            .filter_map(|(r, a)| {
-                a.coeffs
-                    .get(&v)
-                    .map(|c| (mu_ids[r], Rational::from_int(c.clone())))
-            })
-            .collect();
-        terms.extend(target(v).into_iter().map(|(id, c)| (id, -c)));
-        if terms.is_empty() {
-            continue;
-        }
-        add_eq(inc, terms, Rational::zero(), tag);
-    }
-    let mut terms: Vec<(VarId, Rational)> = path
-        .atoms
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !a.rhs.is_zero())
-        .map(|(r, a)| (mu_ids[r], Rational::from_int(a.rhs.clone())))
-        .collect();
-    terms.extend(rhs_terms);
-    inc.add_constraint_tagged(LpConstraint::new(terms, Relation::Ge, rhs), tag);
-}
-
-/// Runs the multiphase synthesis, deepening from 1 to [`MAX_PHASES`].
+/// Runs the multiphase synthesis, deepening from 1 to `max_depth`
+/// ([`MAX_PHASES`] for the Lasso engine, 1 for Complete-LRF).
 pub fn prove(
     ts: &TransitionSystem,
     invariants: &[Polyhedron],
+    max_depth: usize,
     options: &AnalysisOptions,
     stats: &mut SynthesisStats,
 ) -> Verdict {
@@ -161,7 +122,7 @@ pub fn prove(
     inc.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
     let mut phases: Vec<PhaseVars> = Vec::new();
     let verdict = 'depths: {
-        for depth in 1..=MAX_PHASES {
+        for depth in 1..=max_depth {
             // Phase-`depth` template variables.
             let phase = PhaseVars {
                 coeffs: (0..n)
@@ -173,10 +134,9 @@ pub fn prove(
             //   (c_k + c_{k−1})·x − c_k·x' ≥ 1 − off_{k−1}.
             for (j, path) in paths.iter().enumerate() {
                 let prev = phases.last();
-                farkas_rows(
+                add_path_rows(
                     &mut inc,
                     path,
-                    n,
                     ts,
                     &format!("c{depth}_{j}"),
                     |v| {
@@ -220,10 +180,9 @@ pub fn prove(
             // Retractable bound rows: f_depth(x) ≥ 0 on every path source.
             let last = phases.last().expect("just pushed");
             for (j, path) in paths.iter().enumerate() {
-                farkas_rows(
+                add_path_rows(
                     &mut inc,
                     path,
-                    n,
                     ts,
                     &format!("b{depth}_{j}"),
                     |v| {
@@ -265,7 +224,14 @@ pub fn prove(
                 stats.basis_reuses += 1;
             }
         }
-        Verdict::unknown(UnknownReason::ResourceBudget)
+        // Every depth up to the cap failed its bound. At cap 1 that is the
+        // complete test's refutation (see module docs); a deeper cap only ran
+        // out of budget.
+        Verdict::unknown(if max_depth == 1 {
+            UnknownReason::NoRankingFunction
+        } else {
+            UnknownReason::ResourceBudget
+        })
     };
     stats.lp_warm_hits += inc.warm_solves();
     debug_assert!(
@@ -299,7 +265,16 @@ mod tests {
         assert_eq!(ts.num_locations(), 1, "test programs are single loops");
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::Lasso);
-        let v = prove(&ts, &universe(n), &options, &mut stats);
+        let v = prove(&ts, &universe(n), MAX_PHASES, &options, &mut stats);
+        (v, stats)
+    }
+
+    /// Runs the Complete-LRF engine (depth cap 1) against `invariants`.
+    fn complete_lrf(src: &str, invariants: &[Polyhedron]) -> (Verdict, SynthesisStats) {
+        let ts = parse_program(src).unwrap().transition_system();
+        let mut stats = SynthesisStats::default();
+        let options = AnalysisOptions::with_engine(Engine::CompleteLrf);
+        let v = prove(&ts, invariants, 1, &options, &mut stats);
         (v, stats)
     }
 
@@ -366,7 +341,7 @@ mod tests {
             .transition_system();
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::Lasso);
-        let rf = match prove(&ts, &universe(2), &options, &mut stats) {
+        let rf = match prove(&ts, &universe(2), MAX_PHASES, &options, &mut stats) {
             Verdict::Terminates(rf) => rf,
             other => panic!("expected a proof, got {other:?}"),
         };
@@ -386,6 +361,80 @@ mod tests {
                 );
                 assert!(eval(1, x, y) >= Rational::zero());
             }
+        }
+    }
+
+    #[test]
+    fn complete_lrf_proves_simple_countdown_with_dimension_one() {
+        let (v, stats) = complete_lrf("var x; while (x > 0) { x = x - 1; }", &universe(1));
+        match v {
+            Verdict::Terminates(rf) => assert_eq!(rf.dimension(), 1),
+            other => panic!("complete-lrf must prove the countdown, got {other:?}"),
+        }
+        assert_eq!(stats.dimension, 1);
+    }
+
+    #[test]
+    fn complete_lrf_no_lrf_answer_is_definitive_on_two_phase_loop() {
+        // The classic two-phase loop has no *linear* RF (it needs a
+        // lexicographic or multiphase argument): the C_1 prefix is feasible
+        // but the depth-1 bound is not, and at cap 1 that is definitive.
+        let (v, _) = complete_lrf(
+            r#"
+            var x, y;
+            while (x > 0) {
+                choice {
+                    assume y > 0;  y = y - 1;
+                } or {
+                    assume y <= 0; x = x - 1;
+                }
+            }
+            "#,
+            &universe(2),
+        );
+        assert!(matches!(
+            v,
+            Verdict::Unknown {
+                reason: UnknownReason::NoRankingFunction
+            }
+        ));
+    }
+
+    #[test]
+    fn complete_lrf_multi_location_programs_are_out_of_scope() {
+        let src = r#"
+            var i, j;
+            while (i > 0) {
+                j = i;
+                while (j > 0) { j = j - 1; }
+                i = i - 1;
+            }
+            "#;
+        let ts = parse_program(src).unwrap().transition_system();
+        assert!(ts.num_locations() > 1);
+        let (v, _) = complete_lrf(src, &vec![Polyhedron::universe(2); ts.num_locations()]);
+        assert!(matches!(
+            v,
+            Verdict::Unknown {
+                reason: UnknownReason::ResourceBudget
+            }
+        ));
+    }
+
+    #[test]
+    fn complete_lrf_unreachable_body_is_dimension_zero() {
+        use termite_polyhedra::Constraint;
+        // Empty invariant at the cut point: no feasible path survives.
+        let empty = vec![Polyhedron::from_constraints(
+            1,
+            vec![
+                Constraint::ge(QVector::from_i64(&[1]), Rational::from(1)),
+                Constraint::le(QVector::from_i64(&[1]), Rational::from(0)),
+            ],
+        )];
+        match complete_lrf("var x; while (x > 0) { x = x - 1; }", &empty).0 {
+            Verdict::Terminates(rf) => assert_eq!(rf.dimension(), 0),
+            other => panic!("unreachable body must be trivially terminating, got {other:?}"),
         }
     }
 }

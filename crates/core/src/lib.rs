@@ -35,8 +35,9 @@
 //! Two baselines from the paper's evaluation are provided for comparison (see
 //! [`Engine`]): the **eager** Farkas/DNF approach of Rank / Alias et al.
 //! (`baselines::eager`) and a syntactic **heuristic** prover in the spirit of
-//! Loopus (`baselines::heuristic`), plus the Podelski–Rybalchenko
-//! single-ranking-function special case.
+//! Loopus (`baselines::heuristic`), plus the complete single-ranking-function
+//! test of Bagnara et al. / Podelski–Rybalchenko as the depth-1 case of the
+//! multiphase [`lasso`] engine.
 //!
 //! # Quickstart
 //!
@@ -65,8 +66,8 @@
 
 mod baselines;
 mod cancel;
-pub mod complete;
 mod engine;
+mod farkas;
 pub mod lasso;
 mod lp_instance;
 mod monodim;
@@ -76,7 +77,7 @@ mod regions;
 mod report;
 mod workspace;
 
-pub use baselines::{eager, heuristic, podelski_rybalchenko};
+pub use baselines::{eager, heuristic};
 pub use cancel::CancelToken;
 pub use engine::{
     prove_termination, prove_transition_system, prove_with_pipeline, AnalysisOptions, Engine,

@@ -37,7 +37,8 @@
 //! polyhedra (the path atoms plus the segment atoms on the pre side, plus
 //! the target segment's atoms shifted to the post variables), so each
 //! segmentation is **one Farkas feasibility LP** — the same row shape as
-//! [`lasso`](crate::lasso), whose `farkas_rows` helper this engine shares.
+//! [`lasso`](crate::lasso); both build their rows with the shared Farkas
+//! encoder (`crate::farkas`).
 //! The rounds share one warm [`IncrementalLp`] in the style of
 //! [`SynthesisLpWorkspace`](crate::workspace::SynthesisLpWorkspace): every
 //! per-segment row (and, implicitly, every template and multiplier column)
@@ -58,7 +59,7 @@
 
 use crate::baselines::{expand_paths, PathTransition};
 use crate::engine::AnalysisOptions;
-use crate::lasso::farkas_rows;
+use crate::farkas::add_path_rows;
 use crate::report::{Precondition, RankingFunction, SynthesisStats, UnknownReason, Verdict};
 use termite_ir::TransitionSystem;
 use termite_linalg::QVector;
@@ -205,10 +206,9 @@ pub fn prove(
                 // Bound: ρ_i(x) ≥ 0 on S_i ∧ source(τ).
                 let mut bounded = path.clone();
                 bounded.atoms.extend(seg_i.iter().cloned());
-                farkas_rows(
+                add_path_rows(
                     &mut inc,
                     &bounded,
-                    n,
                     ts,
                     &format!("b{i}_{t}"),
                     |v| {
@@ -229,10 +229,9 @@ pub fn prove(
                     let mut step = bounded.clone();
                     step.atoms
                         .extend(seg_j.iter().map(|a| shift_to_post(a, ts)));
-                    farkas_rows(
+                    add_path_rows(
                         &mut inc,
                         &step,
-                        n,
                         ts,
                         &format!("d{i}_{j}_{t}"),
                         |v| {

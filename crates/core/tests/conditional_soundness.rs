@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use termite_core::{
-    complete, monodim, prove_termination, AnalysisOptions, CancelToken, Engine, FarkasMemo,
-    LpReuse, MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason, Verdict,
+    lasso, monodim, prove_termination, AnalysisOptions, CancelToken, Engine, FarkasMemo, LpReuse,
+    MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason, Verdict,
 };
 use termite_invariants::{analyze_cfg, entry_precondition, InvariantOptions};
 use termite_ir::{parse_program, Cfg, CfgOp};
@@ -116,13 +116,13 @@ fn template(which: usize, a: i64, k: i64, c: i64) -> String {
     }
 }
 
-/// Every engine of the portfolio, for the differential harness.
-const ALL_ENGINES: [Engine; 7] = [
+/// Every engine, for the differential harness: the five portfolio lanes
+/// plus Complete-LRF, the completeness oracle.
+const ALL_ENGINES: [Engine; 6] = [
     Engine::CompleteLrf,
     Engine::Lasso,
     Engine::Termite,
     Engine::Eager,
-    Engine::PodelskiRybalchenko,
     Engine::Heuristic,
     Engine::Piecewise,
 ];
@@ -209,7 +209,8 @@ fn oracle_agrees(src: &str) -> OracleOutcome {
     );
     let invariants = vec![box_inv];
     let mut stats = SynthesisStats::default();
-    let verdict = complete::prove(&ts, &invariants, &AnalysisOptions::default(), &mut stats);
+    let options = AnalysisOptions::with_engine(Engine::CompleteLrf);
+    let verdict = lasso::prove(&ts, &invariants, 1, &options, &mut stats);
     if !matches!(
         &verdict,
         Verdict::Unknown {
@@ -289,7 +290,7 @@ fn case_split_src(k: i64, swap: bool) -> String {
 proptest! {
     /// The completeness canary: on the randomized case-split family every
     /// engine except `piecewise` answers `Unknown`, and `piecewise` proves
-    /// it — so the seventh portfolio lane is never vacuous, and a
+    /// it — so the piecewise portfolio lane is never vacuous, and a
     /// regression in any direction (a baseline suddenly proving the family,
     /// or piecewise losing it) fails loudly. The piecewise claim itself is
     /// replayed disjunct-by-disjunct under the demonic simulator.

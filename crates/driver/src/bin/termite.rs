@@ -63,8 +63,9 @@ const USAGE: &str = "usage:
   termite check-verdicts <expected.json> <actual.json>
   termite table1
 
-engines: termite (default), eager, pr, heuristic, lasso, complete-lrf, piecewise
---portfolio races every engine (complete-lrf and lasso first) and keeps the
+engines: termite (default), eager, heuristic, lasso, complete-lrf (also spelled
+pr), piecewise
+--portfolio races lasso, termite, eager, heuristic and piecewise and keeps the
 strongest verdict; the report's `engine_won` names the engine that produced it
 --no-optimize analyses programs as written, skipping the IR shrinking pipeline
 (constant propagation, dead-variable elimination) that runs by default";
@@ -800,7 +801,9 @@ fn pivots_cell(pivots: Option<f64>) -> String {
 /// Renders a report's `engine_won` for the suite and diff tables, folding
 /// the `Engine` debug names back onto the `--engine` spellings. `-` means
 /// no portfolio race picked a winner (single-engine run, no-proof race, or
-/// a report written before the field existed).
+/// a report written before the field existed). The `pr` arm renders the
+/// winner name of the deleted Podelski–Rybalchenko lane, which older
+/// reports (`BENCH_0009.json`) still carry.
 fn engine_cell(engine_won: Option<&str>) -> String {
     match engine_won {
         None => "-".to_string(),

@@ -35,18 +35,10 @@ use termite_num::Rational;
 use termite_polyhedra::{Constraint, ConstraintKind, Polyhedron};
 
 /// Version stamp of the on-disk format: bump it whenever the schema changes.
-/// Version 2 added the structured verdict (`terminates` / `conditional` /
-/// `unknown` with a reason, plus the inferred precondition); version 3
-/// widened conditional verdicts to a disjunctive `preconditions` array (each
-/// disjunct a clause plus an optional per-disjunct ranking). Older files are
-/// still accepted and migrated entry-by-entry on read: a v1 `ranking`
-/// becomes an unconditional proof, a v1 `null` an
-/// `Unknown(NoRankingFunction)`, and a v2 single `precondition` a
-/// one-disjunct DNF.
+/// Every entry can be recomputed, so a file stamped with any other version
+/// is not migrated: it loads as an empty cache (cold, never wrong), and the
+/// next save replaces it.
 const FORMAT_VERSION: f64 = 3.0;
-
-/// Oldest on-disk version [`ResultCache::load`] can migrate.
-const OLDEST_READABLE_VERSION: f64 = 1.0;
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -291,8 +283,9 @@ impl ResultCache {
     }
 
     /// Loads a cache previously written by [`save`](Self::save). A missing
-    /// file yields an empty cache; a malformed or version-mismatched file is
-    /// an error (rather than silently serving wrong verdicts).
+    /// file, or one stamped with another format version, yields an empty
+    /// cache; a malformed file is an error (rather than silently serving
+    /// wrong verdicts).
     pub fn load(path: &Path) -> Result<Self, String> {
         if !path.exists() {
             return Ok(ResultCache::new());
@@ -303,10 +296,8 @@ impl ResultCache {
             .get("version")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{path:?}: missing cache format version"))?;
-        if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(format!(
-                "{path:?}: unsupported cache format version {version}"
-            ));
+        if version != FORMAT_VERSION {
+            return Ok(ResultCache::new());
         }
         let cache = ResultCache::new();
         let Some(Json::Object(entries)) = doc.get("entries") else {
@@ -315,9 +306,6 @@ impl ResultCache {
         let mut map = lock(&cache.map);
         for (key, value) in entries {
             let report = report_from_json(value)?;
-            // Footprints are measured in the *current* schema: a migrated v1
-            // entry accounts for what a re-save would write, not for the
-            // bytes it occupied on disk.
             let bytes = entry_bytes(key, &report);
             let tick = map.next_tick();
             map.entries.insert(
@@ -417,9 +405,9 @@ impl ResultCache {
     ///
     /// A save **merges** with the file already at `path`: entries on disk
     /// but not in memory (evicted under the byte budget, or written by an
-    /// earlier run with a different workload) are preserved, migrated to
-    /// the current schema on the way through. The merge is abandoned — the
-    /// file is **compacted** to just the live entries — when the merged
+    /// earlier run with a different workload) are preserved; a file of
+    /// another format version contributes nothing. The merge is abandoned
+    /// — the file is **compacted** to just the live entries — when the merged
     /// document would exceed twice the live footprint: past that point the
     /// preserved tail is mostly dead weight, and carrying it forward on
     /// every save would grow the file without bound.
@@ -456,16 +444,14 @@ impl ResultCache {
 }
 
 /// The live document plus every entry already at `path` that the live
-/// cache does not supersede, migrated to the current schema entry by
-/// entry. `None` when the disk file is missing, unreadable,
-/// version-incompatible, or adds nothing — the save then just writes the
-/// live document. Individually malformed disk entries are dropped rather
+/// cache does not supersede. `None` when the disk file is missing,
+/// unreadable, of another format version, or adds nothing — the save then
+/// just writes the live document. Individually malformed disk entries are dropped rather
 /// than failing the save: preserving stale entries is best-effort.
 fn merged_document(path: &Path, live_doc: &Json) -> Option<Json> {
     let text = std::fs::read_to_string(path).ok()?;
     let disk = Json::parse(&text).ok()?;
-    let version = disk.get("version").and_then(Json::as_f64)?;
-    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
+    if disk.get("version").and_then(Json::as_f64) != Some(FORMAT_VERSION) {
         return None;
     }
     let Some(Json::Object(disk_entries)) = disk.get("entries") else {
@@ -762,39 +748,30 @@ fn ranking_from_json(rf: &Json) -> Result<RankingFunction, String> {
     Ok(RankingFunction::new(num_vars, var_names, components))
 }
 
-/// Deserializes the disjuncts of a conditional verdict: the version-3
-/// `preconditions` array, or — for version-2 records — the single
-/// `precondition` polyhedron, migrated to a one-disjunct DNF.
+/// Deserializes the `preconditions` array of a conditional verdict.
 fn preconditions_from_json(json: &Json) -> Result<Vec<Precondition>, String> {
-    if let Some(array) = json.get("preconditions").and_then(Json::as_array) {
-        let disjuncts = array
-            .iter()
-            .map(|d| {
-                let clause =
-                    polyhedron_from_json(d.get("clause").ok_or("precondition without `clause`")?)?;
-                let ranking = match d.get("ranking") {
-                    None | Some(Json::Null) => None,
-                    Some(rf) => Some(ranking_from_json(rf)?),
-                };
-                Ok::<_, String>(Precondition { clause, ranking })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if disjuncts.is_empty() {
-            return Err("`conditional` verdict with an empty `preconditions` array".to_string());
-        }
-        return Ok(disjuncts);
+    let disjuncts = json
+        .get("preconditions")
+        .and_then(Json::as_array)
+        .ok_or("`conditional` verdict without `preconditions`")?
+        .iter()
+        .map(|d| {
+            let clause =
+                polyhedron_from_json(d.get("clause").ok_or("precondition without `clause`")?)?;
+            let ranking = match d.get("ranking") {
+                None | Some(Json::Null) => None,
+                Some(rf) => Some(ranking_from_json(rf)?),
+            };
+            Ok::<_, String>(Precondition { clause, ranking })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if disjuncts.is_empty() {
+        return Err("`conditional` verdict with an empty `preconditions` array".to_string());
     }
-    // v2 migration: a single conjunctive precondition becomes the sole
-    // disjunct (its ranking is the report-level one, so it carries none).
-    let clause = polyhedron_from_json(
-        json.get("precondition")
-            .ok_or("`conditional` verdict without `preconditions`")?,
-    )?;
-    Ok(vec![Precondition::new(clause)])
+    Ok(disjuncts)
 }
 
-/// Deserializes a report written by [`report_to_json`], migrating
-/// version-1 records (which had no `verdict` field) on the fly.
+/// Deserializes a report written by [`report_to_json`].
 pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
     let program = json
         .get("program")
@@ -805,15 +782,7 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
         None | Some(Json::Null) => None,
         Some(rf) => Some(ranking_from_json(rf)?),
     };
-    let unknown_reason = || match json.get("unknown_reason").and_then(Json::as_str) {
-        Some("cancelled") => UnknownReason::Cancelled,
-        Some("resource-budget") => UnknownReason::ResourceBudget,
-        Some("engine-failure") => UnknownReason::EngineFailure,
-        // v1 records (and v2 "no-ranking-function") land here.
-        _ => UnknownReason::NoRankingFunction,
-    };
     let verdict = match json.get("verdict").and_then(Json::as_str) {
-        // v2 record: the verdict field is authoritative.
         Some("terminates") => {
             Verdict::Terminates(ranking.ok_or("`terminates` verdict without `ranking`")?)
         }
@@ -821,15 +790,17 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
             disjuncts: preconditions_from_json(json)?,
             ranking: ranking.ok_or("`conditional` verdict without `ranking`")?,
         },
-        Some("unknown") => Verdict::Unknown {
-            reason: unknown_reason(),
-        },
+        Some("unknown") => {
+            Verdict::unknown(match json.get("unknown_reason").and_then(Json::as_str) {
+                Some("no-ranking-function") => UnknownReason::NoRankingFunction,
+                Some("cancelled") => UnknownReason::Cancelled,
+                Some("resource-budget") => UnknownReason::ResourceBudget,
+                Some("engine-failure") => UnknownReason::EngineFailure,
+                other => return Err(format!("unknown `unknown_reason` {other:?}")),
+            })
+        }
         Some(other) => return Err(format!("unknown verdict `{other}`")),
-        // v1 migration: the presence of a ranking function was the verdict.
-        None => match ranking {
-            Some(rf) => Verdict::Terminates(rf),
-            None => Verdict::unknown(UnknownReason::NoRankingFunction),
-        },
+        None => return Err("missing `verdict`".to_string()),
     };
     let stats_json = json.get("stats").ok_or("missing `stats`")?;
     let field = |name: &str| -> Result<f64, String> {
@@ -841,12 +812,10 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
     let stats = SynthesisStats {
         iterations: field("iterations")? as usize,
         lp_instances: field("lp_instances")? as usize,
-        // Absent in cache files written before the pivot counter existed.
-        lp_pivots: field("lp_pivots").unwrap_or(0.0) as usize,
-        // Absent in cache files written before the cross-level LP workspace.
-        lp_warm_hits: field("lp_warm_hits").unwrap_or(0.0) as usize,
-        basis_reuses: field("basis_reuses").unwrap_or(0.0) as usize,
-        farkas_cache_hits: field("farkas_cache_hits").unwrap_or(0.0) as usize,
+        lp_pivots: field("lp_pivots")? as usize,
+        lp_warm_hits: field("lp_warm_hits")? as usize,
+        basis_reuses: field("basis_reuses")? as usize,
+        farkas_cache_hits: field("farkas_cache_hits")? as usize,
         lp_rows_avg: field("lp_rows_avg")?,
         lp_cols_avg: field("lp_cols_avg")?,
         lp_max: (
@@ -856,20 +825,16 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
         smt_queries: field("smt_queries")? as usize,
         counterexamples: field("counterexamples")? as usize,
         dimension: field("dimension")? as usize,
-        // Absent in v1 cache files (no refinement pipeline yet).
-        refinements: field("refinements").unwrap_or(0.0) as usize,
+        refinements: field("refinements")? as usize,
         synthesis_millis: field("synthesis_millis")?,
-        // Absent in cache files written before the per-phase breakdown.
-        smt_millis: field("smt_millis").unwrap_or(0.0),
-        lp_millis: field("lp_millis").unwrap_or(0.0),
-        invariant_millis: field("invariant_millis").unwrap_or(0.0),
-        // Absent in cache files written before the IR pre-optimizer.
-        ir_nodes_before: field("ir_nodes_before").unwrap_or(0.0) as usize,
-        ir_nodes_after: field("ir_nodes_after").unwrap_or(0.0) as usize,
-        ir_vars_before: field("ir_vars_before").unwrap_or(0.0) as usize,
-        ir_vars_after: field("ir_vars_after").unwrap_or(0.0) as usize,
-        // Absent in cache files written before portfolio winners were
-        // recorded (and null outside portfolio races).
+        smt_millis: field("smt_millis")?,
+        lp_millis: field("lp_millis")?,
+        invariant_millis: field("invariant_millis")?,
+        ir_nodes_before: field("ir_nodes_before")? as usize,
+        ir_nodes_after: field("ir_nodes_after")? as usize,
+        ir_vars_before: field("ir_vars_before")? as usize,
+        ir_vars_after: field("ir_vars_after")? as usize,
+        // Null outside portfolio races.
         engine_won: stats_json
             .get("engine_won")
             .and_then(Json::as_str)
@@ -1029,66 +994,9 @@ mod tests {
     }
 
     #[test]
-    fn version_1_cache_files_are_migrated_on_read() {
-        // A hand-written v1 file: no `verdict` field, the presence of
-        // `ranking` is the verdict; stats lack `refinements`.
-        let v1 = r#"{
-          "version": 1,
-          "entries": {
-            "00000000000000aa": {
-              "program": "old_proof",
-              "terminating": true,
-              "ranking": {
-                "num_vars": 1,
-                "var_names": ["x"],
-                "components": [[{"lambda": ["1"], "lambda0": "0"}]]
-              },
-              "stats": {
-                "iterations": 2, "lp_instances": 2, "lp_rows_avg": 1.0,
-                "lp_cols_avg": 2.0, "lp_max_rows": 1, "lp_max_cols": 2,
-                "smt_queries": 3, "counterexamples": 1, "dimension": 1,
-                "synthesis_millis": 0.5
-              }
-            },
-            "00000000000000bb": {
-              "program": "old_unknown",
-              "terminating": false,
-              "ranking": null,
-              "stats": {
-                "iterations": 1, "lp_instances": 0, "lp_rows_avg": 0.0,
-                "lp_cols_avg": 0.0, "lp_max_rows": 0, "lp_max_cols": 0,
-                "smt_queries": 1, "counterexamples": 0, "dimension": 0,
-                "synthesis_millis": 0.1
-              }
-            }
-          }
-        }"#;
-        let path = std::env::temp_dir().join("termite-driver-v1-cache.json");
-        std::fs::write(&path, v1).unwrap();
-        let cache = ResultCache::load(&path).unwrap();
-        assert_eq!(cache.len(), 2);
-        let proof = cache.lookup("00000000000000aa").unwrap();
-        assert!(matches!(proof.verdict, Verdict::Terminates(_)));
-        assert_eq!(proof.stats.refinements, 0);
-        let unknown = cache.lookup("00000000000000bb").unwrap();
-        assert!(matches!(
-            unknown.verdict,
-            Verdict::Unknown {
-                reason: UnknownReason::NoRankingFunction
-            }
-        ));
-        // Re-persisting writes the current (v3) schema, which reloads too.
-        cache.save(&path).unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.get("version").and_then(Json::as_f64), Some(3.0));
-        assert!(ResultCache::load(&path).is_ok());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn version_2_conditional_entries_become_single_disjunct_dnfs() {
-        // A hand-written v2 record: one conjunctive `precondition`, no
-        // `preconditions` array.
+    fn old_schema_cache_file_reads_as_cold() {
+        // A hand-written v2 file: a well-formed document of an older schema
+        // (one conjunctive `precondition`, no `preconditions` array).
         let v2 = r#"{
           "version": 2,
           "entries": {
@@ -1112,29 +1020,54 @@ mod tests {
                 "smt_queries": 3, "counterexamples": 1, "dimension": 1,
                 "synthesis_millis": 0.5
               }
+            },
+            "00000000000000dd": {
+              "program": "old_unknown",
+              "verdict": "unknown",
+              "terminating": false,
+              "unknown_reason": "no-ranking-function",
+              "ranking": null,
+              "stats": {
+                "iterations": 1, "lp_instances": 0, "lp_rows_avg": 0.0,
+                "lp_cols_avg": 0.0, "lp_max_rows": 0, "lp_max_cols": 0,
+                "smt_queries": 1, "counterexamples": 0, "dimension": 0,
+                "synthesis_millis": 0.1
+              }
             }
           }
         }"#;
-        let path = std::env::temp_dir().join("termite-driver-v2-cache.json");
+        let dir = std::env::temp_dir().join("termite-driver-old-schema-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.json");
+        let quarantine = dir.join("cache.json.corrupt");
+        let _ = std::fs::remove_file(&quarantine);
         std::fs::write(&path, v2).unwrap();
-        let cache = ResultCache::load(&path).unwrap();
-        let report = cache.lookup("00000000000000cc").unwrap();
-        let Verdict::TerminatesIf { disjuncts, .. } = &report.verdict else {
-            panic!("v2 conditional must stay conditional, got {report:?}");
-        };
-        assert_eq!(disjuncts.len(), 1, "one conjunctive clause, one disjunct");
-        assert!(
-            disjuncts[0].ranking.is_none(),
-            "the ranking stays top-level"
+
+        // Every lookup misses, and the file is not treated as damaged.
+        let cache = ResultCache::load_or_quarantine(&path);
+        assert!(ResultCache::load(&path).is_ok());
+        for key in ["00000000000000cc", "00000000000000dd"] {
+            assert_eq!(cache.lookup(key), None, "{key} must miss");
+        }
+        assert_eq!(cache.stats().misses, 2);
+        assert!(path.exists());
+        assert!(!quarantine.exists(), "an old schema is not corruption");
+
+        // The next save writes the current schema with only live entries.
+        let j = job("var x; while (x > 0) { x = x - 1; }");
+        let opts = AnalysisOptions::default();
+        let live_key = cache_key(&j, &EngineSelection::single(Engine::Termite), &opts);
+        cache.store(
+            live_key.clone(),
+            prove_transition_system(&j.ts, &j.invariants, &opts),
         );
-        // Re-persisting writes the v3 `preconditions` array.
         cache.save(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"preconditions\""), "re-save must upgrade");
-        assert!(!text.contains("\"precondition\":"), "legacy field is gone");
-        let reread = ResultCache::load(&path).unwrap();
-        assert_eq!(reread.lookup("00000000000000cc").unwrap(), report);
-        let _ = std::fs::remove_file(&path);
+        assert!(text.contains("\"version\":3"), "{text}");
+        assert!(text.contains(&live_key));
+        assert!(!text.contains("00000000000000cc") && !text.contains("00000000000000dd"));
+        assert_eq!(ResultCache::load(&path).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1271,7 +1204,7 @@ mod tests {
         assert!(ResultCache::load(&missing).unwrap().is_empty());
 
         let garbage = std::env::temp_dir().join("termite-driver-garbage-cache.json");
-        std::fs::write(&garbage, "{\"version\": 99}").unwrap();
+        std::fs::write(&garbage, "{\"entries\": {}}").unwrap();
         assert!(ResultCache::load(&garbage).is_err());
         let _ = std::fs::remove_file(&garbage);
     }

@@ -21,11 +21,11 @@
 //! slow_engine=<name>:<millis> stall one engine of the next portfolio race
 //!                             by <millis> ms before it starts proving;
 //!                             <name> is the CLI spelling (`termite`,
-//!                             `eager`, `pr`, `heuristic`, `lasso`,
-//!                             `complete-lrf`). The stall observes the
-//!                             race's cancellation token, so a cancelled
-//!                             loser wakes up promptly — this is the lever
-//!                             the race-determinism tests pull to hand every
+//!                             `eager`, `heuristic`, `lasso`, `complete-lrf`,
+//!                             `piecewise`). The stall observes the race's
+//!                             cancellation token, so a cancelled loser
+//!                             wakes up promptly — this is the lever the
+//!                             race-determinism tests pull to hand every
 //!                             engine in turn the scheduling disadvantage
 //! cache_torn_write=<1|substr> truncate the next cache save halfway and skip
 //!                             the atomic rename (simulates a crash

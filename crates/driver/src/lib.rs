@@ -16,10 +16,10 @@
 //!   │ worker  │ │ worker  │ │ worker  │   `--jobs N` OS threads
 //!   └────┬────┘ └────┬────┘ └────┬────┘
 //!        │     ┌─────▼──────────┐│
-//!        │     │   portfolio    ││   per job: race Termite / Eager /
-//!        │     │  (first proof  ││   Podelski–Rybalchenko / Heuristic,
-//!        │     │  wins, losers  ││   first proof cancels siblings via
-//!        │     │   cancelled)   ││   child `CancelToken`s
+//!        │     │   portfolio    ││   per job: race Lasso / Termite /
+//!        │     │  (first proof  ││   Eager / Heuristic / Piecewise; the
+//!        │     │  wins, losers  ││   first unconditional proof cancels
+//!        │     │   cancelled)   ││   siblings via child `CancelToken`s
 //!        │     └─────┬──────────┘│
 //!        └───────────┼───────────┘
 //!              ┌─────▼─────┐

@@ -130,19 +130,20 @@ impl EngineSelection {
         EngineSelection::Portfolio(engines)
     }
 
-    /// The full default portfolio: the complete LRF existence test first
-    /// (cheap, and definitive on single-path loops), then the multiphase
-    /// lasso templates, then the paper's four engines. The order is the
+    /// The full default portfolio: the multiphase lasso templates first
+    /// (cheap, and their depth 1 is the complete LRF test, so Complete-LRF
+    /// is not raced separately), then the paper's Termite, Eager and
+    /// heuristic engines, then the piecewise lattice. The heuristic lane
+    /// stays: it wins the `multipath_loop` races, and its proof cancels the
+    /// DNF lanes before their LPs grow to gigabytes. The order is the
     /// *preference* order used to break ties between equally-ranked answers
     /// (see `race`'s confluence contract), not a scheduling order — all
     /// engines start simultaneously.
     pub fn full_portfolio() -> Self {
         EngineSelection::Portfolio(vec![
-            Engine::CompleteLrf,
             Engine::Lasso,
             Engine::Termite,
             Engine::Eager,
-            Engine::PodelskiRybalchenko,
             Engine::Heuristic,
             Engine::Piecewise,
         ])
@@ -158,18 +159,20 @@ impl EngineSelection {
 }
 
 /// Parses an engine-selection name as used on the CLI and the NDJSON wire:
-/// one of the engine names (`termite`, `eager`, `pr` /
-/// `podelski-rybalchenko`, `heuristic`, `lasso`, `complete-lrf`,
-/// `piecewise`) or `portfolio` for the full seven-engine race.
+/// one of the engine names (`termite`, `eager`, `heuristic`, `lasso`,
+/// `complete-lrf` — also spelled `pr` / `podelski-rybalchenko` —,
+/// `piecewise`) or `portfolio` for the five-lane race of
+/// [`EngineSelection::full_portfolio`].
 pub fn parse_selection(name: &str) -> Result<EngineSelection, String> {
     match name {
         "portfolio" => Ok(EngineSelection::full_portfolio()),
         "termite" => Ok(EngineSelection::single(Engine::Termite)),
         "eager" => Ok(EngineSelection::single(Engine::Eager)),
-        "pr" | "podelski-rybalchenko" => Ok(EngineSelection::single(Engine::PodelskiRybalchenko)),
         "heuristic" => Ok(EngineSelection::single(Engine::Heuristic)),
         "lasso" => Ok(EngineSelection::single(Engine::Lasso)),
-        "complete-lrf" => Ok(EngineSelection::single(Engine::CompleteLrf)),
+        "complete-lrf" | "pr" | "podelski-rybalchenko" => {
+            Ok(EngineSelection::single(Engine::CompleteLrf))
+        }
         "piecewise" => Ok(EngineSelection::single(Engine::Piecewise)),
         other => Err(format!("unknown engine `{other}`")),
     }
@@ -182,7 +185,6 @@ fn engine_cli_name(engine: Engine) -> &'static str {
     match engine {
         Engine::Termite => "termite",
         Engine::Eager => "eager",
-        Engine::PodelskiRybalchenko => "pr",
         Engine::Heuristic => "heuristic",
         Engine::Lasso => "lasso",
         Engine::CompleteLrf => "complete-lrf",
@@ -436,7 +438,7 @@ mod tests {
         );
         assert_eq!(
             EngineSelection::full_portfolio().to_string(),
-            "portfolio:CompleteLrf+Lasso+Termite+Eager+PodelskiRybalchenko+Heuristic+Piecewise"
+            "portfolio:Lasso+Termite+Eager+Heuristic+Piecewise"
         );
     }
 

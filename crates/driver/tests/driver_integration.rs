@@ -68,8 +68,8 @@ fn portfolio_race_returns_the_first_proof() {
     assert!(out.unproved_losers <= 1);
 }
 
-/// A loser that can never prove (Podelski–Rybalchenko on a loop needing two
-/// lexicographic dimensions) always ends as a cancelled-or-failed loser while
+/// A loser that can never prove (Complete-LRF, the Podelski–Rybalchenko
+/// method, on a loop needing two lexicographic dimensions) always ends as a cancelled-or-failed loser while
 /// the winner's proof comes back: the deterministic half of the race
 /// contract.
 #[test]
@@ -114,7 +114,7 @@ fn portfolio_race_loser_never_wins() {
         provenance: None,
         opt_stats: None,
     };
-    let selection = EngineSelection::portfolio(vec![Engine::Termite, Engine::PodelskiRybalchenko]);
+    let selection = EngineSelection::portfolio(vec![Engine::Termite, Engine::CompleteLrf]);
     let out = run_selection(&j, &selection, &AnalysisOptions::default());
     assert_eq!(
         out.winner,
@@ -232,42 +232,4 @@ fn parallel_64_job_batch_matches_sequential() {
             _ => unreachable!("verdicts already compared equal"),
         }
     }
-}
-
-/// The committed legacy (schema v2) cache fixture must load through the
-/// strict path, its conditional entry must come back as a one-disjunct DNF,
-/// and re-saving must upgrade the file to the current schema while keeping
-/// both legacy entries. This is the in-tree twin of the CI cache-migration
-/// smoke, pinned to the same fixture so the file can never rot silently.
-#[test]
-fn committed_v2_cache_fixture_migrates_and_upgrades() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/cache_v2_legacy.json");
-    let scratch = std::env::temp_dir().join("termite-driver-v2-fixture-test.json");
-    std::fs::copy(&fixture, &scratch).unwrap();
-
-    let cache = ResultCache::load(&scratch).expect("the committed fixture must stay readable");
-    let terminating = cache.lookup("00f1de2000000001").unwrap();
-    assert!(matches!(terminating.verdict, Verdict::Terminates(_)));
-    let conditional = cache.lookup("00f1de2000000002").unwrap();
-    let Verdict::TerminatesIf { disjuncts, .. } = &conditional.verdict else {
-        panic!("legacy conditional entry must migrate to a DNF verdict");
-    };
-    assert_eq!(disjuncts.len(), 1, "one v2 clause becomes one disjunct");
-    assert!(disjuncts[0].ranking.is_none(), "v2 rankings stay top-level");
-
-    cache.save(&scratch).unwrap();
-    let text = std::fs::read_to_string(&scratch).unwrap();
-    assert!(
-        text.contains("\"version\":3"),
-        "re-save upgrades the schema"
-    );
-    assert!(text.contains("\"preconditions\""));
-    assert!(
-        !text.contains("\"precondition\":"),
-        "legacy field is rewritten"
-    );
-    let reread = ResultCache::load(&scratch).unwrap();
-    assert_eq!(reread.lookup("00f1de2000000002").unwrap(), conditional);
-    let _ = std::fs::remove_file(&scratch);
 }

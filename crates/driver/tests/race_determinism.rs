@@ -56,15 +56,7 @@ const PROGRAMS: [(&str, &str, Option<&str>); 4] = [
 
 /// Every engine of the full portfolio, in its `--engine` spelling — the
 /// names the `slow_engine` fault point targets.
-const ENGINE_NAMES: [&str; 7] = [
-    "complete-lrf",
-    "lasso",
-    "termite",
-    "eager",
-    "pr",
-    "heuristic",
-    "piecewise",
-];
+const ENGINE_NAMES: [&str; 5] = ["lasso", "termite", "eager", "heuristic", "piecewise"];
 
 fn job(src: &str) -> AnalysisJob {
     let program = parse_program(src).expect("test program parses");
