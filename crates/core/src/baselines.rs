@@ -238,7 +238,7 @@ pub mod eager {
         lp.maximize(delta_ids.iter().map(|&d| (d, Rational::one())).collect());
 
         stats.record_lp(lp.num_constraints(), lp.num_vars());
-        let solution = lp.solve_interruptible(interrupt)?;
+        let solution = stats.time_lp(|| lp.solve_interruptible(interrupt))?;
         stats.lp_pivots += solution.pivots;
         let assignment = match solution.outcome {
             LpOutcome::Optimal { assignment, .. } => assignment,
@@ -278,8 +278,7 @@ pub mod eager {
             return Verdict::unknown(UnknownReason::Cancelled);
         }
         stats.counterexamples = paths.len();
-        let cancel_in_lp = options.cancel.clone();
-        let interrupt = termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled());
+        let interrupt = options.cancel.interrupt();
         let mut alive: Vec<&PathTransition> = paths.iter().collect();
         let mut components: Vec<Vec<(QVector, Rational)>> = Vec::new();
         let max_dims = ts.num_locations() * ts.num_vars() + 1;
@@ -409,7 +408,9 @@ pub mod heuristic {
                     prefix_nonincreasing.clone(),
                     Formula::le(pre.clone(), LinExpr::constant(-1)),
                 ]);
-                if ctx.solve(&not_strict).is_unsat() && ctx.solve(&unbounded).is_unsat() {
+                if stats.time_smt(|| {
+                    ctx.solve(&not_strict).is_unsat() && ctx.solve(&unbounded).is_unsat()
+                }) {
                     justified = true;
                     break;
                 }
@@ -418,7 +419,7 @@ pub mod heuristic {
                 stats.smt_queries += 1;
                 let increases =
                     Formula::and(vec![base.clone(), Formula::gt(post.clone(), pre.clone())]);
-                if !ctx.solve(&increases).is_unsat() {
+                if !stats.time_smt(|| ctx.solve(&increases).is_unsat()) {
                     return false;
                 }
                 prefix_nonincreasing =
@@ -440,10 +441,7 @@ pub mod heuristic {
     ) -> Verdict {
         let n = ts.num_vars();
         let mut ctx = SmtContext::new();
-        let cancel_in_smt = cancel.clone();
-        ctx.set_interrupt(termite_lp::Interrupt::new(move || {
-            cancel_in_smt.is_cancelled()
-        }));
+        ctx.set_interrupt(cancel.interrupt());
         // Assemble one candidate per location, in location order (outer loops
         // first thanks to the pre-order numbering of cut points).
         let mut per_location: Vec<Vec<LinExpr>> = (0..ts.num_locations())

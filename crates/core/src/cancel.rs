@@ -91,6 +91,13 @@ impl CancelToken {
             || self.ancestors.iter().any(|a| a.load(Ordering::Acquire))
             || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
+
+    /// This token as a [`termite_lp::Interrupt`], the handle the simplex
+    /// pivot loops (and the SMT theory solver above them) poll.
+    pub fn interrupt(&self) -> termite_lp::Interrupt {
+        let token = self.clone();
+        termite_lp::Interrupt::new(move || token.is_cancelled())
+    }
 }
 
 impl Default for CancelToken {

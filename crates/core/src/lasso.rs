@@ -118,8 +118,7 @@ pub fn prove(
     }
 
     let mut inc = IncrementalLp::new();
-    let cancel = options.cancel.clone();
-    inc.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
+    inc.set_interrupt(options.cancel.interrupt());
     let mut phases: Vec<PhaseVars> = Vec::new();
     let verdict = 'depths: {
         for depth in 1..=max_depth {
@@ -166,7 +165,7 @@ pub fn prove(
             inc.maximize(Vec::new());
             stats.iterations += 1;
             stats.record_lp(inc.num_constraints(), inc.num_vars());
-            let Some(primed) = inc.solve() else {
+            let Some(primed) = stats.time_lp(|| inc.solve()) else {
                 break 'depths Verdict::unknown(UnknownReason::Cancelled);
             };
             stats.lp_pivots += primed.pivots;
@@ -198,7 +197,7 @@ pub fn prove(
                 );
             }
             stats.record_lp(inc.num_constraints(), inc.num_vars());
-            let Some(solution) = inc.solve() else {
+            let Some(solution) = stats.time_lp(|| inc.solve()) else {
                 break 'depths Verdict::unknown(UnknownReason::Cancelled);
             };
             stats.lp_pivots += solution.pivots;
@@ -299,6 +298,16 @@ mod tests {
             stats.basis_reuses >= 1,
             "deepening must reuse the primed basis"
         );
+    }
+
+    #[test]
+    fn lasso_proof_reports_its_lp_time() {
+        // Every solve whose pivots reach `lp_pivots` is timed into
+        // `lp_millis`: a pure Farkas-LP engine cannot report 0 ms of LP.
+        let (v, stats) = prove_src("var x, y; while (x > 0) { x = x + y; y = y - 1; }", 2);
+        assert!(matches!(v, Verdict::Terminates(_)), "got {v:?}");
+        assert!(stats.lp_pivots > 0);
+        assert!(stats.lp_millis > 0.0, "lp_millis = {}", stats.lp_millis);
     }
 
     #[test]

@@ -80,7 +80,8 @@ mod workspace;
 pub use baselines::{eager, heuristic};
 pub use cancel::CancelToken;
 pub use engine::{
-    prove_termination, prove_transition_system, prove_with_pipeline, AnalysisOptions, Engine,
+    initial_invariants, prove_termination, prove_termination_with, prove_transition_system,
+    prove_with_pipeline, AnalysisOptions, Engine,
 };
 pub use lp_instance::{
     solve_lp_instance, LpInstanceSolution, LpInstanceStats, RankingTemplate, StackedConstraints,

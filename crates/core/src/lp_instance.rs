@@ -254,7 +254,7 @@ pub fn solve_lp_instance(
     };
     stats.record_lp(shape.rows, shape.cols);
 
-    let solution = lp.solve();
+    let solution = stats.time_lp(|| lp.solve());
     stats.lp_pivots += solution.pivots;
     let assignment = match solution.outcome {
         LpOutcome::Optimal { assignment, .. } => assignment,

@@ -5,7 +5,6 @@ use crate::cancel::CancelToken;
 use crate::lp_instance::RankingTemplate;
 use crate::report::SynthesisStats;
 use crate::workspace::SynthesisLpWorkspace;
-use std::time::Instant;
 use termite_ir::TransitionSystem;
 use termite_linalg::{QVector, Subspace};
 use termite_num::Rational;
@@ -226,10 +225,7 @@ pub fn monodim(
         .collect();
 
     let mut ctx = SmtContext::new();
-    let cancel_in_smt = input.cancel.clone();
-    ctx.set_interrupt(termite_lp::Interrupt::new(move || {
-        cancel_in_smt.is_cancelled()
-    }));
+    ctx.set_interrupt(input.cancel.interrupt());
     let mut counterexamples: Vec<QVector> = Vec::new();
     let mut basis = Subspace::new(stacked_dim);
     let mut template = RankingTemplate::zero(num_locations, n);
@@ -270,12 +266,10 @@ pub fn monodim(
                 Formula::le(objective.clone(), LinExpr::constant(0)),
             ]);
             stats.smt_queries += 1;
-            let smt_start = Instant::now();
-            let outcome = {
+            let outcome = stats.time_smt(|| {
                 let _span = termite_obs::span!("smt_minimize", from = t.from, to = t.to);
                 ctx.minimize(&query, &objective)
-            };
-            stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+            });
             match outcome {
                 OptResult::Unsat => continue,
                 OptResult::Interrupted => {
@@ -400,12 +394,10 @@ fn zero_step_possible(
         );
         let query = Formula::and(vec![t.formula.clone(), all_zero]);
         stats.smt_queries += 1;
-        let smt_start = Instant::now();
-        let result = {
+        let result = stats.time_smt(|| {
             let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
             ctx.solve(&query)
-        };
-        stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+        });
         // Only a completed `Unsat` rules the null step out; an interrupted
         // query conservatively counts as "possible" (so the result is never
         // reported strict on the strength of an unfinished check).

@@ -80,17 +80,8 @@ pub fn synthesize_lexicographic(
     let mut components: Vec<RankingTemplate> = Vec::new();
     let mut span = Subspace::new(stacked_dim);
     let mut ctx = SmtContext::new();
-    let cancel_in_smt = cancel.clone();
-    ctx.set_interrupt(termite_lp::Interrupt::new(move || {
-        cancel_in_smt.is_cancelled()
-    }));
-    let cancel_in_lp = cancel.clone();
-    let mut ws = SynthesisLpWorkspace::new(
-        invariants,
-        termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled()),
-        reuse,
-        memo,
-    );
+    ctx.set_interrupt(cancel.interrupt());
+    let mut ws = SynthesisLpWorkspace::new(invariants, cancel.interrupt(), reuse, memo);
     let mut witness: Option<(usize, QVector)> = None;
 
     // At most |W|·(n+1) dimensions (Corollary 1: the stacked λ's are
@@ -115,12 +106,10 @@ pub fn synthesize_lexicographic(
                 previous_constant(ts, &components, t.from, t.to),
             ]);
             stats.smt_queries += 1;
-            let smt_start = std::time::Instant::now();
-            let result = {
+            let result = stats.time_smt(|| {
                 let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
                 ctx.solve(&query)
-            };
-            stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+            });
             match result {
                 termite_smt::SmtResult::Sat(_) => active.push(true),
                 termite_smt::SmtResult::Unsat => active.push(false),

@@ -170,12 +170,11 @@ pub fn prove(
 
     let pool = predicate_pool(&paths, n);
     let mut inc = IncrementalLp::new();
-    let cancel = options.cancel.clone();
-    inc.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
+    inc.set_interrupt(options.cancel.interrupt());
     // Prime the session so every round's snapshot carries a live basis:
     // a failed round then restores warm instead of restarting cold.
     inc.maximize(Vec::new());
-    let Some(primed) = inc.solve() else {
+    let Some(primed) = stats.time_lp(|| inc.solve()) else {
         return Verdict::unknown(UnknownReason::Cancelled);
     };
     stats.lp_pivots += primed.pivots;
@@ -259,7 +258,7 @@ pub fn prove(
         }
         stats.iterations += 1;
         stats.record_lp(inc.num_constraints(), inc.num_vars());
-        let Some(solution) = inc.solve() else {
+        let Some(solution) = stats.time_lp(|| inc.solve()) else {
             return Verdict::unknown(UnknownReason::Cancelled);
         };
         stats.lp_pivots += solution.pivots;

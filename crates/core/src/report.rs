@@ -319,6 +319,16 @@ pub struct SynthesisStats {
 }
 
 impl SynthesisStats {
+    /// Runs one LP solve and adds its wall time to `lp_millis`.
+    pub fn time_lp<T>(&mut self, solve: impl FnOnce() -> T) -> T {
+        timed(&mut self.lp_millis, solve)
+    }
+
+    /// Runs SMT work and adds its wall time to `smt_millis`.
+    pub fn time_smt<T>(&mut self, solve: impl FnOnce() -> T) -> T {
+        timed(&mut self.smt_millis, solve)
+    }
+
     /// Records one LP solve of the given shape.
     pub fn record_lp(&mut self, rows: usize, cols: usize) {
         let total_rows = self.lp_rows_avg * self.lp_instances as f64 + rows as f64;
@@ -330,6 +340,13 @@ impl SynthesisStats {
             self.lp_max = (rows, cols);
         }
     }
+}
+
+fn timed<T>(millis: &mut f64, work: impl FnOnce() -> T) -> T {
+    let start = std::time::Instant::now();
+    let out = work();
+    *millis += start.elapsed().as_secs_f64() * 1000.0;
+    out
 }
 
 /// Report returned by the top-level analysis entry points.

@@ -359,11 +359,8 @@ impl<'m> SynthesisLpWorkspace<'m> {
         stats.record_lp(shape.rows, shape.cols);
 
         let warm_before = self.inc.warm_solves();
-        let lp_start = std::time::Instant::now();
         let mut lp_span = termite_obs::span!("lp_solve", rows = shape.rows, cols = shape.cols);
-        let solution = self.inc.solve();
-        stats.lp_millis += lp_start.elapsed().as_secs_f64() * 1000.0;
-        let solution = solution?;
+        let solution = stats.time_lp(|| self.inc.solve())?;
         let warm = self.inc.warm_solves() > warm_before;
         if warm {
             stats.lp_warm_hits += 1;

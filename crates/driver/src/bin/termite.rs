@@ -538,12 +538,12 @@ fn suite_command(name: &str, flags: Flags) -> Result<ExitCode, String> {
         sum(&|r| r.report.stats.farkas_cache_hits),
     );
     println!(
-        "phases: smt {:.1} ms, lp {:.1} ms, invariants {:.1} ms (within {:.1} ms synthesis); \
+        "phases: invariants {:.1} ms, synthesis {:.1} ms (smt {:.1} ms, lp {:.1} ms within); \
          cache served {} hit(s) in {:.1} ms",
-        totals.smt_millis,
-        totals.lp_millis,
         totals.invariant_millis,
         totals.synthesis_millis,
+        totals.smt_millis,
+        totals.lp_millis,
         totals.cache_hits,
         totals.cache_millis,
     );

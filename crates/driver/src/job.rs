@@ -9,13 +9,20 @@ use termite_suite::{suite, SuiteId};
 
 /// One unit of work: a prepared transition system plus its invariants.
 ///
-/// Front-end and invariant generation happen at job-construction time (as in
-/// the paper's methodology, which excludes both from the reported times), so
-/// workers spend their time in ranking-function synthesis only, and one job
-/// can be raced across several engines without re-preparing anything. When
-/// the `program` source is available, workers run the full refinement
-/// pipeline (conditional termination); without it, the engines fall back to
-/// the one-shot invariants.
+/// Front-end and the forward invariant fixpoint happen at job-construction
+/// time (as in the paper's methodology, which excludes both from the
+/// reported times), so one job can be raced across several engines without
+/// re-preparing anything. When the `program` source is available,
+/// [`crate::run_selection`] strengthens `invariants` once (entry reach +
+/// Houdini) and every engine runs the full refinement pipeline from that
+/// shared result (conditional termination); without it, the engines fall
+/// back to the one-shot invariants.
+///
+/// **Contract:** when `program` is set, `ts` is its transition system and
+/// `invariants` is its forward fixpoint from `⊤`
+/// (`location_invariants(program, ..)`) under the invariant options the job
+/// runs with. The driver does not recompute that stage: every engine takes
+/// `invariants` as given.
 ///
 /// Construction via [`from_program_with`](AnalysisJob::from_program_with)
 /// (and the suite constructors) can run the [`termite_ir::opt`] shrinking
@@ -28,7 +35,8 @@ pub struct AnalysisJob {
     pub name: String,
     /// Cut-point transition system.
     pub ts: TransitionSystem,
-    /// Invariant of each cut point.
+    /// Invariant of each cut point: the forward fixpoint from `⊤` of
+    /// `program`, when there is one (see the contract above).
     pub invariants: Vec<Polyhedron>,
     /// Ground truth, when known (benchmark suites record whether a
     /// lexicographic linear ranking function is expected to exist).
@@ -153,6 +161,38 @@ mod tests {
         let stats = job.opt_stats.unwrap();
         assert_eq!((stats.vars_before, stats.vars_after), (3, 1));
         assert!(stats.nodes_after < stats.nodes_before);
+    }
+
+    #[test]
+    fn job_invariants_are_the_forward_stage_of_the_pipeline() {
+        // The driver strengthens `job.invariants` instead of recomputing the
+        // forward fixpoint: that must give exactly what a fresh pipeline
+        // computes from the program, raw and pre-optimized.
+        use termite_core::{initial_invariants, AnalysisOptions, CancelToken};
+        use termite_invariants::{FixpointPipeline, InvariantPipeline};
+        let options = AnalysisOptions::default();
+        for optimize_ir in [false, true] {
+            for job in AnalysisJob::from_all_suites_with(optimize_ir) {
+                let program = job.program.as_ref().expect("suite jobs carry programs");
+                let shared = initial_invariants(program, &job.ts, job.invariants.clone(), &options);
+                let pipeline = FixpointPipeline::new(
+                    program,
+                    &job.ts,
+                    &options.invariants,
+                    0,
+                    CancelToken::new().interrupt(),
+                );
+                let fresh = pipeline.invariants();
+                assert_eq!(shared.len(), fresh.len(), "{}", job.name);
+                for (k, (a, b)) in shared.iter().zip(fresh).enumerate() {
+                    assert!(
+                        a.equal(b),
+                        "{} (optimize_ir = {optimize_ir}), cut point {k}: {a:?} vs {b:?}",
+                        job.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!   ┌────▼────┐ ┌────▼────┐ ┌────▼────┐
 //!   │ worker  │ │ worker  │ │ worker  │   `--jobs N` OS threads
 //!   └────┬────┘ └────┬────┘ └────┬────┘
-//!        │     ┌─────▼──────────┐│
-//!        │     │   portfolio    ││   per job: race Lasso / Termite /
-//!        │     │  (first proof  ││   Eager / Heuristic / Piecewise; the
-//!        │     │  wins, losers  ││   first unconditional proof cancels
-//!        │     │   cancelled)   ││   siblings via child `CancelToken`s
-//!        │     └─────┬──────────┘│
+//!        │     ┌─────▼──────────┐│   per job: Houdini-strengthen the
+//!        │     │   portfolio    ││   job's forward invariants once, then
+//!        │     │  (first proof  ││   race Lasso / Termite / Eager /
+//!        │     │  wins, losers  ││   Heuristic / Piecewise from them; the
+//!        │     │   cancelled)   ││   first unconditional proof cancels
+//!        │     └─────┬──────────┘│   siblings via child `CancelToken`s
 //!        └───────────┼───────────┘
 //!              ┌─────▼─────┐
 //!              │   cache   │   content-addressed (hash of normalized
@@ -29,7 +29,8 @@
 //! ```
 //!
 //! * [`AnalysisJob`] — the unit of work: a prepared transition system plus
-//!   invariants (front-end excluded from timing, as in the paper).
+//!   its forward-fixpoint invariants (front-end excluded from timing, as in
+//!   the paper).
 //! * [`EngineSelection`] / [`run_selection`] — one engine, or a racing
 //!   portfolio with first-proof-wins cancellation.
 //! * [`ResultCache`] / [`cache_key`] — content-addressed result store;

@@ -12,9 +12,10 @@
 use crate::job::AnalysisJob;
 use std::fmt;
 use std::sync::Mutex;
+use std::time::Instant;
 use termite_core::{
-    prove_termination, prove_transition_system, AnalysisOptions, Engine, Precondition,
-    RankingFunction, TerminationReport, UnknownReason, Verdict,
+    initial_invariants, prove_termination_with, prove_transition_system, AnalysisOptions, Engine,
+    Precondition, RankingFunction, TerminationReport, UnknownReason, Verdict,
 };
 use termite_ir::Provenance;
 use termite_polyhedra::{Constraint, Polyhedron};
@@ -23,20 +24,25 @@ use termite_polyhedra::{Constraint, Polyhedron};
 /// program source is available (conditional termination), through the
 /// one-shot prepared invariants otherwise.
 ///
-/// Program-carrying jobs deliberately ignore the prepared `job.ts` /
-/// `job.invariants`: each racing engine owns a private, *mutable*
-/// `FixpointPipeline` (refinement narrows its entry set mid-run), so the
-/// forward fixpoint + Houdini stages are recomputed per engine rather than
-/// shared behind a lock. That redundancy is bounded by the invariant
-/// generator's cost (milliseconds per job) and buys lock-free racing; the
-/// prepared fields still serve transition-system-only jobs.
+/// `initial` is the job's [`initial_invariants`], computed once by
+/// [`run_selection`] before any engine starts and shared by every lane of a
+/// race (`Some` exactly when the job carries its program). Each lane still
+/// owns a private, mutable `FixpointPipeline` built around them: only the
+/// Termite lane refines, and its refinement rounds narrow the entry set and
+/// rerun the stages on their own.
 ///
 /// Pre-optimized jobs get their verdict translated back to source variables
 /// *here*, before anything downstream (cache, NDJSON response, suite table)
 /// sees the report — a cached report is therefore always in source terms.
-fn prove_job(job: &AnalysisJob, options: &AnalysisOptions) -> TerminationReport {
-    let mut report = match &job.program {
-        Some(program) => prove_termination(program, options),
+fn prove_job(
+    job: &AnalysisJob,
+    initial: Option<&[Polyhedron]>,
+    options: &AnalysisOptions,
+) -> TerminationReport {
+    let mut report = match job.program.as_ref().zip(initial) {
+        Some((program, invariants)) => {
+            prove_termination_with(program, &job.ts, invariants, options)
+        }
         None => prove_transition_system(&job.ts, &job.invariants, options),
     };
     report.program = job.name.clone();
@@ -247,13 +253,23 @@ pub fn run_selection(
     if let EngineSelection::Portfolio(engines) = selection {
         assert!(!engines.is_empty(), "a portfolio needs at least one engine");
     }
-    match selection {
+    // One invariant computation per job: `job.invariants` already is the
+    // forward fixpoint from ⊤, so only the entry-reach + Houdini stage runs
+    // here, once, under the job token — and every lane starts from it.
+    let start = Instant::now();
+    let initial = job.program.as_ref().map(|program| {
+        let _span = termite_obs::span!("invariant_init");
+        initial_invariants(program, &job.ts, job.invariants.clone(), options)
+    });
+    let initial_millis = start.elapsed().as_secs_f64() * 1000.0;
+    let initial = initial.as_deref();
+    let mut out = match selection {
         EngineSelection::Single(engine) => {
             let opts = AnalysisOptions {
                 engine: *engine,
                 ..options.clone()
             };
-            let report = prove_job(job, &opts);
+            let report = prove_job(job, initial, &opts);
             let winner = report.proved().then_some(*engine);
             PortfolioOutcome {
                 report,
@@ -262,7 +278,7 @@ pub fn run_selection(
             }
         }
         EngineSelection::Portfolio(engines) => {
-            let mut out = race(job, engines, options);
+            let mut out = race(job, initial, engines, options);
             // Name the winning engine in the report itself, so the answer
             // survives the cache round trip and reaches `suite table`,
             // `merge-reports` and `bench-diff` (single-engine runs keep
@@ -270,7 +286,10 @@ pub fn run_selection(
             out.report.stats.engine_won = out.winner.map(|e| format!("{e:?}"));
             out
         }
-    }
+    };
+    // The shared stage ran once for the whole selection: count it once.
+    out.report.stats.invariant_millis += initial_millis;
+    out
 }
 
 /// Races the engines under the **verdict-confluence invariant**: the rank of
@@ -287,7 +306,12 @@ pub fn run_selection(
 /// engine-list position — a fully deterministic pick. The certificate (and
 /// the winner's identity) may still vary between runs *only* when several
 /// engines race to equally-ranked unconditional proofs.
-fn race(job: &AnalysisJob, engines: &[Engine], options: &AnalysisOptions) -> PortfolioOutcome {
+fn race(
+    job: &AnalysisJob,
+    initial: Option<&[Polyhedron]>,
+    engines: &[Engine],
+    options: &AnalysisOptions,
+) -> PortfolioOutcome {
     // One shared child token: the first unconditional proof cancels every
     // sibling, the caller's token still cancels everyone.
     let race_token = options.cancel.child();
@@ -324,7 +348,7 @@ fn race(job: &AnalysisJob, engines: &[Engine], options: &AnalysisOptions) -> Por
                         }
                     }
                 }
-                let report = prove_job(job, &opts);
+                let report = prove_job(job, initial, &opts);
                 if report.proved_unconditionally() {
                     let mut slot = winner.lock().unwrap();
                     if slot.is_none() {
@@ -428,6 +452,47 @@ mod tests {
         }
         assert_eq!(out.report.stats.ir_vars_before, 3);
         assert_eq!(out.report.stats.ir_vars_after, 1);
+    }
+
+    /// Runs `selection` on `job` under a private trace recorder and counts
+    /// the `invariant_init` spans it emitted.
+    fn invariant_init_spans(job: &AnalysisJob, selection: &EngineSelection) -> usize {
+        use std::sync::Arc;
+        let recorder = Arc::new(termite_obs::Recorder::new(1 << 18));
+        let guard = termite_obs::install(Arc::clone(&recorder));
+        run_selection(job, selection, &AnalysisOptions::default());
+        drop(guard);
+        assert_eq!(recorder.dropped(), 0, "the ring must hold the whole run");
+        recorder
+            .drain()
+            .iter()
+            .filter(|e| e.name == "invariant_init")
+            .count()
+    }
+
+    #[test]
+    fn initial_invariants_are_computed_once_per_job() {
+        // Conditional only (Termite refines): no lane wins early, so every
+        // lane runs its whole course — and none recomputes the shared stage.
+        let j = job("var x, y; while (x > 0) { x = x + y; }");
+        assert_eq!(
+            invariant_init_spans(&j, &EngineSelection::full_portfolio()),
+            1
+        );
+        assert_eq!(
+            invariant_init_spans(&j, &EngineSelection::single(Engine::Termite)),
+            1
+        );
+        // A transition-system-only job proves against its prepared
+        // invariants: there is no stage to run.
+        let ts_only = AnalysisJob {
+            program: None,
+            ..j.clone()
+        };
+        assert_eq!(
+            invariant_init_spans(&ts_only, &EngineSelection::full_portfolio()),
+            0
+        );
     }
 
     #[test]

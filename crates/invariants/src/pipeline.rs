@@ -14,7 +14,7 @@
 //! verdict `TerminatesIf(P)` in `termite-core`.
 
 use crate::{
-    analyze_cfg_from, entry_precondition_dnf, entry_reach, guard_candidates, houdini,
+    entry_precondition_dnf, entry_reach, guard_candidates, houdini, location_invariants_from,
     InvariantOptions,
 };
 use termite_ir::{polyhedron_to_formula, Cfg, Program, TransitionSystem};
@@ -62,13 +62,48 @@ pub trait InvariantPipeline {
     fn set_interrupt(&mut self, _interrupt: Interrupt) {}
 }
 
+/// The reach + Houdini stage on top of a forward fixpoint: strengthens the
+/// given forward header invariants (one per loop header of `cfg`, computed
+/// from `entry`) with every guard candidate that holds where the headers are
+/// first entered from `entry` and is inductive. `interrupt` is polled inside
+/// the Houdini SMT loop; an interrupted run returns `forward` unstrengthened
+/// (still sound).
+///
+/// With `entry = ⊤` and `forward = location_invariants(program, ..)` this is
+/// exactly what [`FixpointPipeline::new`] computes as its initial invariants,
+/// which lets a caller that already holds the forward fixpoint compute the
+/// initial invariants once and hand them to several pipelines through
+/// [`FixpointPipeline::with_invariants`].
+pub fn strengthen_forward(
+    cfg: &Cfg,
+    ts: &TransitionSystem,
+    entry: &Polyhedron,
+    mut forward: Vec<Polyhedron>,
+    options: &InvariantOptions,
+    interrupt: &Interrupt,
+) -> Vec<Polyhedron> {
+    let reach = entry_reach(cfg, entry, options);
+    let reach_at_headers: Vec<Polyhedron> = cfg
+        .loop_headers()
+        .iter()
+        .map(|&h| reach.at_node(h).clone())
+        .collect();
+    houdini::strengthen_inductive(
+        ts,
+        &reach_at_headers,
+        &mut forward,
+        &guard_candidates(cfg),
+        interrupt,
+    );
+    forward
+}
+
 /// The default pipeline: Cousot–Halbwachs forward fixpoint, Houdini-style
 /// SMT-inductive strengthening, and backward precondition inference.
 pub struct FixpointPipeline<'ts> {
     cfg: Cfg,
     ts: &'ts TransitionSystem,
     options: InvariantOptions,
-    candidates: Vec<Constraint>,
     entry: Polyhedron,
     invariants: Vec<Polyhedron>,
     precondition: Option<Polyhedron>,
@@ -108,22 +143,66 @@ impl<'ts> FixpointPipeline<'ts> {
         entry: Polyhedron,
     ) -> Self {
         let cfg = program.to_cfg();
-        let candidates = guard_candidates(&cfg);
-        let mut pipeline = FixpointPipeline {
+        let forward = location_invariants_from(&cfg, &entry, options);
+        let invariants = strengthen_forward(&cfg, ts, &entry, forward, options, &interrupt);
+        Self::adopt(
+            cfg,
+            ts,
+            options,
+            max_refinements,
+            interrupt,
+            entry,
+            invariants,
+        )
+    }
+
+    /// Builds the pipeline around already-computed initial invariants for
+    /// the unconstrained entry — the output of [`strengthen_forward`] from
+    /// `⊤` — without re-running any stage. Refinement rounds run the stages
+    /// as usual.
+    pub fn with_invariants(
+        program: &Program,
+        ts: &'ts TransitionSystem,
+        options: &InvariantOptions,
+        max_refinements: usize,
+        interrupt: Interrupt,
+        invariants: Vec<Polyhedron>,
+    ) -> Self {
+        let entry = Polyhedron::universe(program.num_vars());
+        let cfg = program.to_cfg();
+        Self::adopt(
+            cfg,
+            ts,
+            options,
+            max_refinements,
+            interrupt,
+            entry,
+            invariants,
+        )
+    }
+
+    fn adopt(
+        cfg: Cfg,
+        ts: &'ts TransitionSystem,
+        options: &InvariantOptions,
+        max_refinements: usize,
+        interrupt: Interrupt,
+        entry: Polyhedron,
+        invariants: Vec<Polyhedron>,
+    ) -> Self {
+        debug_assert_eq!(invariants.len(), cfg.loop_headers().len());
+        FixpointPipeline {
             cfg,
             ts,
             options: options.clone(),
-            candidates,
-            entry: entry.clone(),
-            invariants: Vec::new(),
+            entry,
+            invariants,
             precondition: None,
             pending: Vec::new(),
             refinements_left: max_refinements,
             tried: Vec::new(),
             interrupt,
-        };
-        pipeline.invariants = pipeline.run_stages(&entry);
-        pipeline
+        }
     }
 
     /// Unverified extra disjuncts of the adopted precondition: the `¬g`
@@ -137,28 +216,15 @@ impl<'ts> FixpointPipeline<'ts> {
 
     /// Forward fixpoint from `entry`, then Houdini strengthening.
     fn run_stages(&self, entry: &Polyhedron) -> Vec<Polyhedron> {
-        let map = analyze_cfg_from(&self.cfg, entry, &self.options);
-        let mut invs: Vec<Polyhedron> = self
-            .cfg
-            .loop_headers()
-            .iter()
-            .map(|&h| map.at_node(h).clone())
-            .collect();
-        let reach = entry_reach(&self.cfg, entry, &self.options);
-        let reach_at_headers: Vec<Polyhedron> = self
-            .cfg
-            .loop_headers()
-            .iter()
-            .map(|&h| reach.at_node(h).clone())
-            .collect();
-        houdini::strengthen_inductive(
+        let forward = location_invariants_from(&self.cfg, entry, &self.options);
+        strengthen_forward(
+            &self.cfg,
             self.ts,
-            &reach_at_headers,
-            &mut invs,
-            &self.candidates,
+            entry,
+            forward,
+            &self.options,
             &self.interrupt,
-        );
-        invs
+        )
     }
 
     /// `true` when at least one block transition can still fire under the
