@@ -5,14 +5,15 @@
 //! Each padding variable in `padded_countdown(pad)` is an LP column per cut
 //! point and an SMT dimension for the raw pipeline; the optimizer deletes
 //! the whole chain and hands the engines the 1-variable countdown. The
-//! timed body includes `prepare_with` itself, so the optimizer's own cost
-//! is charged against its savings.
+//! timed body includes the job preparation itself
+//! (`AnalysisJob::from_program_with`), so the optimizer's own cost is
+//! charged against its savings.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use termite_bench::prepare_with;
 use termite_core::{prove_transition_system, AnalysisOptions};
+use termite_driver::AnalysisJob;
+use termite_invariants::InvariantOptions;
 use termite_suite::generators::padded_countdown;
-use termite_suite::{Benchmark, SuiteId};
 
 fn ir_opt(c: &mut Criterion) {
     let mut group = c.benchmark_group("ir_opt");
@@ -23,35 +24,27 @@ fn ir_opt(c: &mut Criterion) {
         "pad", "vars raw→opt", "max cols r/o", "pivots r/o"
     );
     for pad in [2usize, 4, 8, 12] {
-        let benchmark = Benchmark {
-            program: padded_countdown(pad),
-            suite: SuiteId::Bloated,
-            expected_terminating: true,
+        let program = padded_countdown(pad);
+        let prepare = |optimize| {
+            AnalysisJob::from_program_with(&program, &InvariantOptions::default(), optimize)
         };
         let mut shapes = Vec::new();
         for optimize in [false, true] {
-            let prepared = prepare_with(&benchmark, optimize);
-            let report = prove_transition_system(
-                &prepared.ts,
-                &prepared.invariants,
-                &AnalysisOptions::default(),
-            );
+            let job = prepare(optimize);
+            let report =
+                prove_transition_system(&job.ts, &job.invariants, &AnalysisOptions::default());
             assert!(report.proved(), "padded countdown must terminate");
             shapes.push((
-                prepared.ts.var_names().len(),
+                job.ts.var_names().len(),
                 report.stats.lp_max.1,
                 report.stats.lp_pivots,
             ));
             let label = if optimize { "optimized" } else { "raw" };
             group.bench_with_input(BenchmarkId::new(label, pad), &pad, |b, _| {
                 b.iter(|| {
-                    let prepared = prepare_with(&benchmark, optimize);
-                    prove_transition_system(
-                        &prepared.ts,
-                        &prepared.invariants,
-                        &AnalysisOptions::default(),
-                    )
-                    .proved()
+                    let job = prepare(optimize);
+                    prove_transition_system(&job.ts, &job.invariants, &AnalysisOptions::default())
+                        .proved()
                 })
             });
         }

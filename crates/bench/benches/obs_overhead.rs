@@ -6,12 +6,11 @@
 //!
 //! * `disabled_span_micro` — the raw per-callsite cost, nanoseconds per
 //!   disabled `span!`/`event!`, next to an empty loop baseline.
-//! * `prove_termination` — the end-to-end check the issue's acceptance asks
-//!   for: a full synthesis run with tracing disabled vs the same run with a
-//!   recorder installed. The disabled run is the shipping configuration; its
-//!   mean must sit within noise (≤1%) of what an uninstrumented build
-//!   measures, which this bench demonstrates by making the disabled path's
-//!   per-callsite cost visible and trivially small relative to one LP pivot.
+//! * `prove_termination` — a full synthesis run with tracing disabled vs the
+//!   same run with a recorder installed. The disabled run is the shipping
+//!   configuration. The bench reports both means and asserts no bound: the
+//!   micro numbers above put the disabled path's per-callsite cost next to
+//!   the cost of one proof.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

@@ -246,7 +246,6 @@ pub fn initial_invariants(
         ts,
         &Polyhedron::universe(program.num_vars()),
         forward,
-        &options.invariants,
         &options.cancel.interrupt(),
     )
 }

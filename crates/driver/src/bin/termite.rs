@@ -36,9 +36,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use termite_bench::{format_table, prepare_suite, run_suite};
 use termite_core::{AnalysisOptions, CancelToken, Engine};
 use termite_driver::json::Json;
+use termite_driver::table1::{format_table, run_suite, ENGINES};
 use termite_driver::{
     cache_key, install_sigterm_handler, parse_selection, report_to_json, run_batch, serve,
     serve_tcp, verdict_name, verdict_rank, AnalysisJob, BatchConfig, BatchResult, BatchTotals,
@@ -1304,10 +1304,14 @@ fn table1() {
     let mut rows = Vec::new();
     for suite_id in SuiteId::all() {
         eprintln!("preparing {} ...", suite_id.name());
-        let prepared = prepare_suite(suite_id);
-        for engine in [Engine::Termite, Engine::Eager, Engine::Heuristic] {
+        let jobs = AnalysisJob::from_suite(suite_id);
+        for engine in ENGINES {
             eprintln!("  running {engine:?} ...");
-            rows.push(run_suite(suite_id, &prepared, engine));
+            let row = run_suite(suite_id, &jobs, engine);
+            if !row.unproved.is_empty() {
+                eprintln!("    not proved: {}", row.unproved.join(", "));
+            }
+            rows.push(row);
         }
     }
     println!("\n=== Table 1 (reproduced) ===\n{}", format_table(&rows));

@@ -1,6 +1,5 @@
 //! Analysis jobs: the unit of work of the batch driver.
 
-use termite_bench::{prepare_with, PreparedBenchmark};
 use termite_invariants::{location_invariants, InvariantOptions};
 use termite_ir::{optimize, OptStats, Program, Provenance, TransitionSystem};
 use termite_obs::span;
@@ -95,24 +94,20 @@ impl AnalysisJob {
         }
     }
 
-    /// Wraps an already-prepared benchmark.
-    pub fn from_prepared(prepared: PreparedBenchmark) -> Self {
-        AnalysisJob {
-            name: prepared.name,
-            ts: prepared.ts,
-            invariants: prepared.invariants,
-            expected_terminating: Some(prepared.expected_terminating),
-            program: Some(prepared.program),
-            provenance: prepared.provenance,
-            opt_stats: prepared.opt_stats,
-        }
-    }
-
-    /// Prepares every benchmark of a suite (optionally pre-optimized).
+    /// Prepares every benchmark of a suite (optionally pre-optimized) with
+    /// the default invariant options, recording each benchmark's ground
+    /// truth.
     pub fn from_suite_with(id: SuiteId, optimize_ir: bool) -> Vec<AnalysisJob> {
         suite(id)
             .iter()
-            .map(|b| AnalysisJob::from_prepared(prepare_with(b, optimize_ir)))
+            .map(|b| AnalysisJob {
+                expected_terminating: Some(b.expected_terminating),
+                ..AnalysisJob::from_program_with(
+                    &b.program,
+                    &InvariantOptions::default(),
+                    optimize_ir,
+                )
+            })
             .collect()
     }
 

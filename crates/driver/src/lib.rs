@@ -42,6 +42,9 @@
 //!   mid-flight.
 //! * [`run_batch`] — batch mode as a thin client of the same scheduler
 //!   (submit all, collect, restore submission order).
+//! * [`table1`] — the paper's Table 1 harness (`termite table1`): one
+//!   engine over each suite's jobs, aggregated into success counts, synthesis
+//!   time and LP sizes.
 //! * [`json`] — a minimal self-contained JSON reader/writer (the build
 //!   environment has no serde), shared by the cache file, the `--json`
 //!   reports and the service wire protocol.
@@ -76,6 +79,7 @@ pub mod json;
 mod net;
 mod portfolio;
 mod service;
+pub mod table1;
 
 pub use batch::{run_batch, BatchConfig, BatchResult, BatchTotals};
 pub use cache::{

@@ -208,11 +208,7 @@ mod tests {
             !invs[0].entails(&Constraint::ge(QVector::from_i64(&[0, 1]), Rational::one())),
             "precondition of the test: the forward pass alone must lose b >= 1"
         );
-        let reach = entry_reach(
-            &cfg,
-            &termite_polyhedra::Polyhedron::universe(2),
-            &InvariantOptions::default(),
-        );
+        let reach = entry_reach(&cfg, &termite_polyhedra::Polyhedron::universe(2));
         let reach_at_headers: Vec<_> = cfg
             .loop_headers()
             .iter()
@@ -244,11 +240,7 @@ mod tests {
         let ts = p.transition_system();
         let mut invs = location_invariants(&p, &InvariantOptions::default());
         let before = invs.clone();
-        let reach = entry_reach(
-            &cfg,
-            &termite_polyhedra::Polyhedron::universe(2),
-            &InvariantOptions::default(),
-        );
+        let reach = entry_reach(&cfg, &termite_polyhedra::Polyhedron::universe(2));
         let reach_at_headers: Vec<_> = cfg
             .loop_headers()
             .iter()
@@ -280,11 +272,7 @@ mod tests {
         let cfg = p.to_cfg();
         let ts = p.transition_system();
         let mut invs = vec![termite_polyhedra::Polyhedron::universe(1)];
-        let reach = entry_reach(
-            &cfg,
-            &termite_polyhedra::Polyhedron::universe(1),
-            &InvariantOptions::default(),
-        );
+        let reach = entry_reach(&cfg, &termite_polyhedra::Polyhedron::universe(1));
         let reach_at_headers: Vec<_> = cfg
             .loop_headers()
             .iter()

@@ -7,7 +7,7 @@
 //! analysis over the node-level CFG of `termite-ir`:
 //!
 //! * forward reachability with the polyhedra domain of `termite-polyhedra`
-//!   (convex-hull join, affine-assignment and guard transfer functions);
+//!   (weak join, affine-assignment and guard transfer functions);
 //! * delayed widening at loop headers to force convergence;
 //! * a few descending (narrowing) iterations to recover bounds lost by
 //!   widening.
@@ -57,11 +57,6 @@ pub struct InvariantOptions {
     /// Hard bound on ascending iterations (safety net; widening guarantees
     /// termination long before this in practice).
     pub max_iterations: usize,
-    /// Use the exact convex hull as join (precise, but Fourier–Motzkin-based
-    /// and therefore expensive). The default is the cheap
-    /// [`termite_polyhedra::Polyhedron::weak_join`], which is what keeps the
-    /// invariant generator tractable on multipath programs; see DESIGN.md.
-    pub exact_join: bool,
 }
 
 impl Default for InvariantOptions {
@@ -70,7 +65,6 @@ impl Default for InvariantOptions {
             widening_delay: 2,
             narrowing_passes: 2,
             max_iterations: 200,
-            exact_join: false,
         }
     }
 }
@@ -125,13 +119,6 @@ pub fn analyze_cfg_from(
     let n = cfg.num_vars();
     assert_eq!(entry_state.dim(), n, "entry state dimension mismatch");
     let num_nodes = cfg.num_nodes();
-    let join = |a: &Polyhedron, b: &Polyhedron| -> Polyhedron {
-        if options.exact_join {
-            a.convex_hull(b)
-        } else {
-            a.weak_join(b)
-        }
-    };
     let mut state: Vec<Polyhedron> = (0..num_nodes).map(|_| Polyhedron::empty(n)).collect();
     state[cfg.entry()] = entry_state.clone();
     let widening_points: std::collections::HashSet<usize> =
@@ -172,7 +159,7 @@ pub fn analyze_cfg_from(
             for edge in cfg.predecessors(node) {
                 let post = transfer(&state[edge.from], &edge.op);
                 if !post.is_empty() {
-                    incoming = join(&incoming, &post);
+                    incoming = incoming.weak_join(&post);
                 }
             }
             let new_value = if state[node].is_empty() {
@@ -181,7 +168,7 @@ pub fn analyze_cfg_from(
                 continue;
             } else if widening_points.contains(&node) && join_count[node] >= options.widening_delay
             {
-                let joined = join(&state[node], &incoming);
+                let joined = state[node].weak_join(&incoming);
                 let mut widened = state[node].widen(&joined);
                 for t in &thresholds {
                     if joined.entails(t) {
@@ -190,7 +177,7 @@ pub fn analyze_cfg_from(
                 }
                 widened
             } else {
-                join(&state[node], &incoming)
+                state[node].weak_join(&incoming)
             };
             if !new_value.is_subset_of(&state[node]) {
                 join_count[node] += 1;
@@ -215,7 +202,7 @@ pub fn analyze_cfg_from(
             for edge in cfg.predecessors(node) {
                 let post = transfer(&state[edge.from], &edge.op);
                 if !post.is_empty() {
-                    incoming = join(&incoming, &post);
+                    incoming = incoming.weak_join(&post);
                 }
             }
             let refined = incoming.intersection(&state[node]).minimize();
@@ -235,21 +222,10 @@ pub fn analyze_cfg_from(
 /// A back edge is an edge into a loop header from a node created after it
 /// (structured lowering numbers nodes in program order, so body nodes always
 /// follow their header).
-pub fn entry_reach(
-    cfg: &Cfg,
-    entry_state: &Polyhedron,
-    options: &InvariantOptions,
-) -> InvariantMap {
+pub fn entry_reach(cfg: &Cfg, entry_state: &Polyhedron) -> InvariantMap {
     let n = cfg.num_vars();
     let num_nodes = cfg.num_nodes();
     let headers: std::collections::HashSet<usize> = cfg.loop_headers().iter().copied().collect();
-    let join = |a: &Polyhedron, b: &Polyhedron| -> Polyhedron {
-        if options.exact_join {
-            a.convex_hull(b)
-        } else {
-            a.weak_join(b)
-        }
-    };
     let mut state: Vec<Polyhedron> = (0..num_nodes).map(|_| Polyhedron::empty(n)).collect();
     state[cfg.entry()] = entry_state.clone();
     // The filtered graph is acyclic, so a plain round-robin fixpoint
@@ -268,11 +244,11 @@ pub fn entry_reach(
                 }
                 let post = transfer(&state[edge.from], &edge.op);
                 if !post.is_empty() {
-                    incoming = join(&incoming, &post);
+                    incoming = incoming.weak_join(&post);
                 }
             }
             if !incoming.is_subset_of(&state[node]) {
-                state[node] = join(&state[node], &incoming).light_reduce();
+                state[node] = state[node].weak_join(&incoming).light_reduce();
                 changed = true;
             }
         }
@@ -362,7 +338,8 @@ mod tests {
         // Precision: the analysis recovers the guard-derived lower bound on y
         // (y >= -1) which is what supports the paper's ranking function y + 1.
         // (The slanted bounds x <= 11 and x + y <= 15 of the paper's Aspic
-        // invariant need the exact hull join; see `InvariantOptions::exact_join`.)
+        // invariant need an exact hull join, which the weak join does not
+        // compute; DESIGN.md §3.)
         assert!(inv.entails(&Constraint::ge(
             QVector::from_i64(&[0, 1]),
             Rational::from(-1)

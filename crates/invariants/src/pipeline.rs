@@ -79,10 +79,9 @@ pub fn strengthen_forward(
     ts: &TransitionSystem,
     entry: &Polyhedron,
     mut forward: Vec<Polyhedron>,
-    options: &InvariantOptions,
     interrupt: &Interrupt,
 ) -> Vec<Polyhedron> {
-    let reach = entry_reach(cfg, entry, options);
+    let reach = entry_reach(cfg, entry);
     let reach_at_headers: Vec<Polyhedron> = cfg
         .loop_headers()
         .iter()
@@ -144,7 +143,7 @@ impl<'ts> FixpointPipeline<'ts> {
     ) -> Self {
         let cfg = program.to_cfg();
         let forward = location_invariants_from(&cfg, &entry, options);
-        let invariants = strengthen_forward(&cfg, ts, &entry, forward, options, &interrupt);
+        let invariants = strengthen_forward(&cfg, ts, &entry, forward, &interrupt);
         Self::adopt(
             cfg,
             ts,
@@ -217,14 +216,7 @@ impl<'ts> FixpointPipeline<'ts> {
     /// Forward fixpoint from `entry`, then Houdini strengthening.
     fn run_stages(&self, entry: &Polyhedron) -> Vec<Polyhedron> {
         let forward = location_invariants_from(&self.cfg, entry, &self.options);
-        strengthen_forward(
-            &self.cfg,
-            self.ts,
-            entry,
-            forward,
-            &self.options,
-            &self.interrupt,
-        )
+        strengthen_forward(&self.cfg, self.ts, entry, forward, &self.interrupt)
     }
 
     /// `true` when at least one block transition can still fire under the

@@ -2,10 +2,10 @@
 //!
 //! The paper works throughout with rational closed convex polyhedra
 //! (Definitions 1–3): invariants `I` are polyhedra given by constraints
-//! `a_i·x ≥ b_i`, the set of one-step differences `P_{I,τ}` is a union of
-//! polyhedra whose convex hull's generators (vertices and rays) drive the
-//! lazily-built LP, and the baseline algorithms (Rank / Ben-Amram & Genaim)
-//! enumerate those generators eagerly after a DNF expansion.
+//! `a_i·x ≥ b_i`. The synthesis engines never enumerate generators: the
+//! Termite engine builds its LP lazily from extremal counterexamples found by
+//! SMT, and the baselines encode each path's constraints through Farkas's
+//! lemma. Both consume the constraint representation only.
 //!
 //! This crate is the polyhedral substrate replacing Apron/PPL/NewPolka in the
 //! original toolchain:
@@ -13,21 +13,19 @@
 //! * [`Constraint`] / [`Polyhedron`] — constraint representation
 //!   (`a·x ⋈ b` with `⋈ ∈ {≥, =}`), emptiness and entailment via exact LP,
 //!   intersection, redundancy removal;
-//! * [`Generator`] and [`Polyhedron::generators`] — the double-description
-//!   (Chernikova-style) conversion from constraints to vertices and rays,
-//!   performed on the homogenised cone;
-//! * [`Polyhedron::eliminate_dims`] — Fourier–Motzkin projection (used for
-//!   affine images and the convex-hull-of-union construction);
-//! * [`Polyhedron::convex_hull`] and [`Polyhedron::widen`] — the lattice
-//!   operations needed by the polyhedral abstract interpreter
-//!   (`termite-invariants`), i.e. the Cousot–Halbwachs join and widening.
+//! * [`Polyhedron::eliminate_dim`] — Fourier–Motzkin projection of one
+//!   variable, used by the affine image and by forgetting a variable;
+//! * [`Polyhedron::affine_preimage`] / [`Polyhedron::havoc_preimage`] — the
+//!   backward transfer functions;
+//! * [`Polyhedron::weak_join`] and [`Polyhedron::widen`] — the lattice
+//!   operations of the polyhedral abstract interpreter
+//!   (`termite-invariants`): a cheap over-approximation of the convex hull
+//!   and the Cousot–Halbwachs widening.
 
 mod constraint;
-mod generator;
 mod polyhedron;
 
 pub use constraint::{Constraint, ConstraintKind};
-pub use generator::Generator;
 pub use polyhedron::Polyhedron;
 
 pub use termite_linalg::QVector;

@@ -1,8 +1,8 @@
 //! Constraint-represented closed convex polyhedra and their operations.
 
-use crate::{Constraint, ConstraintKind, Generator};
+use crate::{Constraint, ConstraintKind};
 use std::fmt;
-use termite_linalg::{QMatrix, QVector};
+use termite_linalg::QVector;
 use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation};
 use termite_num::Rational;
 
@@ -22,7 +22,7 @@ use termite_num::Rational;
 /// ]);
 /// assert!(!p.is_empty());
 /// assert!(p.contains_point(&QVector::from_i64(&[1, 1])));
-/// assert_eq!(p.generators().iter().filter(|g| g.is_vertex()).count(), 3);
+/// assert!(p.entails(&Constraint::le(QVector::from_i64(&[1, 0]), Rational::from(2))));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Polyhedron {
@@ -116,14 +116,6 @@ impl Polyhedron {
             return false;
         }
         termite_lp::feasible_point(&self.lp_rows(), self.dim).is_none()
-    }
-
-    /// Returns a point of the polyhedron, if non-empty.
-    pub fn sample_point(&self) -> Option<QVector> {
-        if self.constraints.is_empty() {
-            return Some(QVector::zeros(self.dim));
-        }
-        termite_lp::feasible_point(&self.lp_rows(), self.dim)
     }
 
     /// Whether every point of the polyhedron satisfies `c`.
@@ -367,25 +359,6 @@ impl Polyhedron {
         }
     }
 
-    /// Eliminates several dimensions (indices into the *current* space).
-    /// Dimensions are removed from highest to lowest so indices stay valid.
-    pub fn eliminate_dims(&self, dims: &[usize]) -> Polyhedron {
-        let mut sorted: Vec<usize> = dims.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut cur = self.clone();
-        for &d in sorted.iter().rev() {
-            cur = cur.eliminate_dim(d).light_reduce();
-            // Keep intermediate systems small: Fourier–Motzkin can square the
-            // constraint count at every step, so fall back to LP-based
-            // minimisation when the system grows too much.
-            if cur.num_constraints() > 48 {
-                cur = cur.minimize();
-            }
-        }
-        cur
-    }
-
     /// Reorders dimensions: the result's dimension `i` is the current
     /// dimension `perm[i]`. `perm` must be a permutation of `0..dim`.
     pub fn permute_dims(&self, perm: &[usize]) -> Polyhedron {
@@ -546,217 +519,15 @@ impl Polyhedron {
     }
 
     // ------------------------------------------------------------------
-    // Generators (double description)
-    // ------------------------------------------------------------------
-
-    /// Computes a generator representation (vertices and rays) of the
-    /// polyhedron, by running a Chernikova-style double-description
-    /// construction on the homogenised cone.
-    ///
-    /// The returned set generates the polyhedron but is not guaranteed to be
-    /// minimal when the polyhedron is not pointed (lines are returned as pairs
-    /// of opposite rays).
-    pub fn generators(&self) -> Vec<Generator> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let d = self.dim;
-        let cone_dim = d + 1;
-        // Homogenised constraints a·x - b·ξ >= 0 plus ξ >= 0.
-        let mut cone_constraints: Vec<QVector> = Vec::new();
-        {
-            let mut xi_pos = vec![Rational::zero(); cone_dim];
-            xi_pos[d] = Rational::one();
-            cone_constraints.push(QVector::from_vec(xi_pos));
-        }
-        for c in &self.constraints {
-            for ineq in c.as_inequalities() {
-                let mut v = ineq.coeffs.entries().to_vec();
-                v.push(-ineq.rhs.clone());
-                cone_constraints.push(QVector::from_vec(v));
-            }
-        }
-
-        // Initial generating system of {y | ξ(y) unconstrained}: all ± axes
-        // and the ξ axis (the first constraint ξ >= 0 prunes it).
-        let mut rays: Vec<QVector> = Vec::new();
-        for i in 0..cone_dim {
-            rays.push(QVector::unit(cone_dim, i));
-            if i < d {
-                rays.push(-&QVector::unit(cone_dim, i));
-            }
-        }
-
-        let mut processed: Vec<QVector> = Vec::new();
-        for c in &cone_constraints {
-            let mut pos = Vec::new();
-            let mut zero = Vec::new();
-            let mut neg = Vec::new();
-            for r in rays.drain(..) {
-                let s = c.dot(&r);
-                if s.is_positive() {
-                    pos.push(r);
-                } else if s.is_negative() {
-                    neg.push(r);
-                } else {
-                    zero.push(r);
-                }
-            }
-            let mut next: Vec<QVector> = Vec::new();
-            let push_unique = |v: QVector, store: &mut Vec<QVector>| {
-                if v.is_zero() {
-                    return;
-                }
-                let canon = v.canonical_direction();
-                if !store.contains(&canon) {
-                    store.push(canon);
-                }
-            };
-            for r in pos.iter().chain(zero.iter()) {
-                push_unique(r.clone(), &mut next);
-            }
-            for p in &pos {
-                for n in &neg {
-                    // (c·p)·n − (c·n)·p lies on the hyperplane c·y = 0 and is a
-                    // conic combination of p and n.
-                    let cp = c.dot(p);
-                    let cn = c.dot(n);
-                    let comb = n.scale(&cp).add_scaled(p, &-&cn);
-                    push_unique(comb, &mut next);
-                }
-            }
-            processed.push(c.clone());
-            // When the current cone is pointed, prune non-extreme rays: a ray
-            // is extreme iff the constraints it saturates have rank
-            // cone_dim − 1.
-            let constr_matrix = QMatrix::from_rows(processed.clone());
-            let pointed = constr_matrix.null_space().is_empty();
-            if pointed && next.len() > cone_dim {
-                next.retain(|r| {
-                    let saturated: Vec<QVector> = processed
-                        .iter()
-                        .filter(|cc| cc.dot(r).is_zero())
-                        .cloned()
-                        .collect();
-                    if saturated.is_empty() {
-                        return cone_dim <= 1;
-                    }
-                    QMatrix::from_rows(saturated).rank() >= cone_dim - 1
-                });
-            }
-            rays = next;
-        }
-
-        let mut out = Vec::new();
-        for r in rays {
-            let xi = r[d].clone();
-            if xi.is_positive() {
-                let inv = xi.recip();
-                out.push(Generator::Vertex(r.slice(0, d).scale(&inv)));
-            } else if xi.is_zero() {
-                let dir = r.slice(0, d);
-                if !dir.is_zero() {
-                    out.push(Generator::Ray(dir));
-                }
-            }
-            // ξ < 0 cannot happen: the ξ >= 0 constraint is processed first.
-        }
-        out
-    }
-
-    /// The vertices of the polyhedron.
-    pub fn vertices(&self) -> Vec<QVector> {
-        self.generators()
-            .into_iter()
-            .filter_map(|g| match g {
-                Generator::Vertex(v) => Some(v),
-                Generator::Ray(_) => None,
-            })
-            .collect()
-    }
-
-    /// The rays of the polyhedron.
-    pub fn rays(&self) -> Vec<QVector> {
-        self.generators()
-            .into_iter()
-            .filter_map(|g| match g {
-                Generator::Ray(r) => Some(r),
-                Generator::Vertex(_) => None,
-            })
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
     // Lattice operations for abstract interpretation
     // ------------------------------------------------------------------
-
-    /// Closed convex hull of the union of two polyhedra, computed by the
-    /// standard "mixing" encoding followed by Fourier–Motzkin projection.
-    ///
-    /// The encoding splits a point `x` of the hull as `x = y + z` with
-    /// `y ∈ λ·self`, `z ∈ (1−λ)·other`, `0 ≤ λ ≤ 1`, and substitutes
-    /// `z = x − y`, so only `d + 1` auxiliary variables (`y` and `λ`) need to
-    /// be projected out.
-    pub fn convex_hull(&self, other: &Polyhedron) -> Polyhedron {
-        assert_eq!(self.dim, other.dim, "dimension mismatch");
-        if self.is_empty() {
-            return other.clone();
-        }
-        if other.is_empty() {
-            return self.clone();
-        }
-        let d = self.dim;
-        // Variables: x (0..d), y (d..2d), λ (2d).
-        let total = 2 * d + 1;
-        let mut constraints: Vec<Constraint> = Vec::new();
-        // A_self y >= λ b_self
-        for c in &self.constraints {
-            let mut v = vec![Rational::zero(); total];
-            for i in 0..d {
-                v[d + i] = c.coeffs[i].clone();
-            }
-            v[2 * d] = -c.rhs.clone();
-            constraints.push(Constraint {
-                coeffs: QVector::from_vec(v),
-                rhs: Rational::zero(),
-                kind: c.kind,
-            });
-        }
-        // A_other (x − y) >= (1 − λ) b_other
-        for c in &other.constraints {
-            let mut v = vec![Rational::zero(); total];
-            for i in 0..d {
-                v[i] = c.coeffs[i].clone();
-                v[d + i] = -&c.coeffs[i];
-            }
-            v[2 * d] = c.rhs.clone();
-            constraints.push(Constraint {
-                coeffs: QVector::from_vec(v),
-                rhs: c.rhs.clone(),
-                kind: c.kind,
-            });
-        }
-        // 0 <= λ <= 1
-        {
-            let mut vl = vec![Rational::zero(); total];
-            vl[2 * d] = Rational::one();
-            constraints.push(Constraint::ge(
-                QVector::from_vec(vl.clone()),
-                Rational::zero(),
-            ));
-            constraints.push(Constraint::le(QVector::from_vec(vl), Rational::one()));
-        }
-        let big = Polyhedron::from_constraints(total, constraints);
-        let to_eliminate: Vec<usize> = (d..total).collect();
-        big.eliminate_dims(&to_eliminate).minimize()
-    }
 
     /// A cheap over-approximation of the convex hull ("weak join"): keeps the
     /// constraints of each operand that are entailed by the other. The result
     /// contains the exact hull but may be strictly larger (slanted constraints
-    /// that appear in neither operand are not discovered). Abstract
-    /// interpreters use it when the exact [`Polyhedron::convex_hull`] is too
-    /// expensive.
+    /// that appear in neither operand are not discovered). It is the join of
+    /// the forward fixpoint in `termite-invariants`; the crate has no exact
+    /// hull (DESIGN.md §3 says why).
     pub fn weak_join(&self, other: &Polyhedron) -> Polyhedron {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
         if self.is_empty() {
@@ -868,68 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn generators_of_a_box() {
-        let p = boxed(2, 3);
-        let gens = p.generators();
-        let vertices: Vec<_> = gens.iter().filter(|g| g.is_vertex()).collect();
-        assert_eq!(vertices.len(), 4);
-        assert!(gens.iter().all(|g| g.is_vertex()));
-        for corner in [[0, 0], [2, 0], [0, 3], [2, 3]] {
-            let v = QVector::from_i64(&[corner[0], corner[1]]);
-            assert!(
-                vertices.iter().any(|g| g.vector() == &v),
-                "missing corner {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn generators_with_rays() {
-        // x >= 1, y >= 0, unbounded in both +x and +y directions.
-        let p = Polyhedron::from_constraints(
-            2,
-            vec![
-                Constraint::ge(QVector::from_i64(&[1, 0]), q(1)),
-                Constraint::ge(QVector::from_i64(&[0, 1]), q(0)),
-            ],
-        );
-        let gens = p.generators();
-        let n_vertices = gens.iter().filter(|g| g.is_vertex()).count();
-        let n_rays = gens.iter().filter(|g| g.is_ray()).count();
-        assert_eq!(n_vertices, 1);
-        assert_eq!(n_rays, 2);
-        assert!(gens.contains(&Generator::Vertex(QVector::from_i64(&[1, 0]))));
-        assert!(gens.contains(&Generator::Ray(QVector::from_i64(&[1, 0]))));
-        assert!(gens.contains(&Generator::Ray(QVector::from_i64(&[0, 1]))));
-    }
-
-    #[test]
-    fn generators_of_empty() {
-        assert!(Polyhedron::empty(2).generators().is_empty());
-    }
-
-    #[test]
-    fn generators_of_paper_example_1_invariant() {
-        // I = {0 <= x+1, x <= 11, 0 <= y+1, y <= x+5, x+y <= 15}
-        let p = Polyhedron::from_constraints(
-            2,
-            vec![
-                Constraint::ge(QVector::from_i64(&[1, 0]), q(-1)),
-                Constraint::le(QVector::from_i64(&[1, 0]), q(11)),
-                Constraint::ge(QVector::from_i64(&[0, 1]), q(-1)),
-                Constraint::le(QVector::from_i64(&[-1, 1]), q(5)),
-                Constraint::le(QVector::from_i64(&[1, 1]), q(15)),
-            ],
-        );
-        assert!(!p.is_empty());
-        let gens = p.generators();
-        assert!(gens.iter().all(|g| g.is_vertex()));
-        // The invariant is a bounded pentagon.
-        assert_eq!(gens.len(), 5);
-        assert!(p.contains_point(&QVector::from_i64(&[5, 10])));
-    }
-
-    #[test]
     fn fourier_motzkin_projection() {
         // Triangle 0 <= y <= x <= 4, projected on x gives [0, 4]... projecting out y.
         let p = Polyhedron::from_constraints(
@@ -1028,44 +737,11 @@ mod tests {
     }
 
     #[test]
-    fn convex_hull_of_two_points() {
-        let a =
-            Polyhedron::from_constraints(1, vec![Constraint::eq(QVector::from_i64(&[1]), q(0))]);
-        let b =
-            Polyhedron::from_constraints(1, vec![Constraint::eq(QVector::from_i64(&[1]), q(4))]);
-        let hull = a.convex_hull(&b);
-        assert!(hull.contains_point(&QVector::from_i64(&[0])));
-        assert!(hull.contains_point(&QVector::from_i64(&[2])));
-        assert!(hull.contains_point(&QVector::from_i64(&[4])));
-        assert!(!hull.contains_point(&QVector::from_i64(&[5])));
-        assert!(!hull.contains_point(&QVector::from_i64(&[-1])));
-    }
-
-    #[test]
-    fn convex_hull_with_empty() {
+    fn weak_join_with_empty() {
         let a = boxed(1, 1);
         let e = Polyhedron::empty(2);
-        assert!(a.convex_hull(&e).equal(&a));
-        assert!(e.convex_hull(&a).equal(&a));
-    }
-
-    #[test]
-    fn convex_hull_of_boxes() {
-        let a = boxed(1, 1);
-        let b = Polyhedron::from_constraints(
-            2,
-            vec![
-                Constraint::ge(QVector::from_i64(&[1, 0]), q(3)),
-                Constraint::le(QVector::from_i64(&[1, 0]), q(4)),
-                Constraint::ge(QVector::from_i64(&[0, 1]), q(0)),
-                Constraint::le(QVector::from_i64(&[0, 1]), q(1)),
-            ],
-        );
-        let hull = a.convex_hull(&b);
-        assert!(hull.contains_point(&QVector::from_i64(&[2, 0])));
-        assert!(hull.contains_point(&QVector::from_i64(&[2, 1])));
-        assert!(!hull.contains_point(&QVector::from_i64(&[2, 2])));
-        assert!(!hull.contains_point(&QVector::from_i64(&[5, 0])));
+        assert!(a.weak_join(&e).equal(&a));
+        assert!(e.weak_join(&a).equal(&a));
     }
 
     #[test]
@@ -1126,26 +802,26 @@ mod tests {
             }
         }
 
-        /// The convex hull contains both arguments and midpoints of their
-        /// sample points.
+        /// The weak join contains both arguments, and on 1-D intervals it is
+        /// exactly the enclosing interval; the empty polyhedron is its
+        /// identity.
         #[test]
-        fn prop_hull_contains_arguments(a in -4i64..4, b in -4i64..4, c in -4i64..4, d in -4i64..4) {
+        fn prop_weak_join_contains_arguments(a in -4i64..4, b in -4i64..4, c in -4i64..4, d in -4i64..4) {
+            let interval = |lo: i64, hi: i64| Polyhedron::from_constraints(1, vec![
+                Constraint::ge(QVector::from_i64(&[1]), q(lo)),
+                Constraint::le(QVector::from_i64(&[1]), q(hi)),
+            ]);
             let (lo1, hi1) = (a.min(b), a.max(b));
             let (lo2, hi2) = (c.min(d), c.max(d));
-            let p1 = Polyhedron::from_constraints(1, vec![
-                Constraint::ge(QVector::from_i64(&[1]), q(lo1)),
-                Constraint::le(QVector::from_i64(&[1]), q(hi1)),
-            ]);
-            let p2 = Polyhedron::from_constraints(1, vec![
-                Constraint::ge(QVector::from_i64(&[1]), q(lo2)),
-                Constraint::le(QVector::from_i64(&[1]), q(hi2)),
-            ]);
-            let hull = p1.convex_hull(&p2);
-            prop_assert!(p1.is_subset_of(&hull));
-            prop_assert!(p2.is_subset_of(&hull));
-            // Hull of intervals is the enclosing interval.
-            prop_assert!(hull.contains_point(&QVector::from_i64(&[(lo1 + hi2) / 2])) ||
-                         hull.contains_point(&QVector::from_i64(&[(lo2 + hi1) / 2])));
+            let p1 = interval(lo1, hi1);
+            let p2 = interval(lo2, hi2);
+            let join = p1.weak_join(&p2);
+            prop_assert!(p1.is_subset_of(&join));
+            prop_assert!(p2.is_subset_of(&join));
+            prop_assert!(join.equal(&interval(lo1.min(lo2), hi1.max(hi2))));
+            let empty = Polyhedron::empty(1);
+            prop_assert!(p1.weak_join(&empty).equal(&p1));
+            prop_assert!(empty.weak_join(&p1).equal(&p1));
         }
 
         /// `p ∈ affine_preimage(Q)` iff the assigned image of `p` is in `Q`
@@ -1195,26 +871,6 @@ mod tests {
             if pre.contains_point(&point) {
                 let havocked = QVector::from_i64(&[v, sample[1]]);
                 prop_assert!(p.contains_point(&havocked));
-            }
-        }
-
-        /// Vertices returned by the double description all belong to the
-        /// polyhedron.
-        #[test]
-        fn prop_vertices_belong(xs in prop::collection::vec(-4i64..6, 4)) {
-            let lo_x = xs[0].min(xs[1]);
-            let hi_x = xs[0].max(xs[1]) + 1;
-            let lo_y = xs[2].min(xs[3]);
-            let hi_y = xs[2].max(xs[3]) + 1;
-            let p = Polyhedron::from_constraints(2, vec![
-                Constraint::ge(QVector::from_i64(&[1, 0]), q(lo_x)),
-                Constraint::le(QVector::from_i64(&[1, 0]), q(hi_x)),
-                Constraint::ge(QVector::from_i64(&[0, 1]), q(lo_y)),
-                Constraint::le(QVector::from_i64(&[0, 1]), q(hi_y)),
-                Constraint::le(QVector::from_i64(&[1, 1]), q(hi_x + hi_y)),
-            ]);
-            for v in p.vertices() {
-                prop_assert!(p.contains_point(&v));
             }
         }
     }
